@@ -31,7 +31,7 @@ class BoundParams:
     """Shared parameters of the bound formulas.
 
     d is required by the finite-dimensional bounds, gamma by the decay-based
-    ones; m_s carries the moment constant for callers composing Markov terms.
+    ones.
     """
 
     p: float
@@ -40,7 +40,6 @@ class BoundParams:
     gamma: float | None = None
     c_user: float = 1.0
     C_user: float = 1.0
-    m_s: float | None = None
 
     def __post_init__(self):
         if not self.p >= 1.0:

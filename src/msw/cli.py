@@ -29,6 +29,14 @@ from .rkhs import KernelSpec, SpectralBasis, check_assumptions, check_spectrum, 
 
 DEFAULT_EPS_GRID = tuple(round(0.05 * k, 2) for k in range(1, 25))
 
+_OPTIMIZER_KEYS = ("restarts", "max_iters", "step0", "step_decay", "tol", "include_seeded_starts")
+# every key config_from_mapping reads; README.md documents the same set
+_CONFIG_KEYS = frozenset((
+    "experiment", "distribution", "d", "mean", "covariance", "shape", "sigma2", "w", "eta2",
+    "d_test", "d_test_list", "p", "n_grid", "mc_runs", "master_seed", "eps_grid",
+    "overlay_kind", "overlay_s", "overlay_gamma", "overlay_c", "overlay_C", *_OPTIMIZER_KEYS,
+))
+
 
 def _parse_scalar(token: str):
     token = token.strip()
@@ -134,8 +142,7 @@ def _build_spec(mapping: dict):
 
 
 def _build_optimizer(mapping: dict) -> OptimizerOpts:
-    keys = ("restarts", "max_iters", "step0", "step_decay", "tol", "include_seeded_starts")
-    overrides = {k: mapping[k] for k in keys if k in mapping}
+    overrides = {k: mapping[k] for k in _OPTIMIZER_KEYS if k in mapping}
     if not overrides:
         return EXPERIMENT_OPTIMIZER
     return dataclasses.replace(EXPERIMENT_OPTIMIZER, **overrides)
@@ -158,6 +165,9 @@ def _build_overlay(mapping: dict, p: float, spec) -> Overlay | None:
 
 def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, ...]]:
     """Build an ExperimentConfig (plus the eps grid for ratio experiments)."""
+    unknown = sorted(set(mapping) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "experiment" not in mapping:
         raise ConfigError("config must set 'experiment'")
     spec = _build_spec(mapping)
@@ -198,9 +208,12 @@ def load_sample_file(path) -> np.ndarray:
     rows = []
     for lineno, line in enumerate(lines[start:], start=start + 1):
         try:
-            rows.append([float(tok) for tok in line.split(",")])
+            row = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
             raise DomainError(f"{path}:{lineno}: {exc}") from exc
+        if rows and len(row) != len(rows[0]):
+            raise DomainError(f"{path}:{lineno}: expected {len(rows[0])} values, got {len(row)}")
+        rows.append(row)
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -254,7 +267,7 @@ def _cmd_ratio(args) -> int:
 
 def _cmd_rkhs_spectrum(args) -> int:
     kernel = KernelSpec(args.sigma2, args.w)
-    basis = SpectralBasis(kernel, max_index=args.j_max)
+    basis = SpectralBasis(kernel)
     lams = eigenvalues(basis, args.j_max)
     report = check_spectrum(basis, min(args.j_max, args.check_j)) if args.check else None
     assumptions = check_assumptions(kernel, args.eta2, args.p)

@@ -250,6 +250,8 @@ def _ratio_trial(config: ExperimentConfig, n_index: int, trial: int):
 
 
 def _run_items(worker, config: ExperimentConfig, items, threads: int):
+    if threads < 0:
+        raise DomainError(f"thread count must be >= 0, got {threads}")
     if threads == 0:
         threads = os.cpu_count() or 1
     if threads == 1 or len(items) <= 1:

@@ -5,6 +5,9 @@ random restarts plus data-driven seed directions; all restarts are iterated in
 lockstep as one batched array pass, which is what makes the Monte Carlo
 experiments affordable. Reported values are certified lower bounds: the
 distance is always recomputed from scratch at the returned direction.
+
+msw.ratio runs the ratio statistic through the same search: _run_search takes
+any objective with batched value and value_and_grad, certify, and an order p.
 """
 from __future__ import annotations
 

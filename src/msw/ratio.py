@@ -1,4 +1,7 @@
-"""Uniform ratio statistics over halfspaces, exact shatter counts, VC bounds."""
+"""Uniform ratio statistics over halfspaces, exact shatter counts, VC bounds.
+
+ratio_sup maximizes over directions with the max-sliced search, _run_search.
+"""
 from __future__ import annotations
 
 import math
@@ -6,9 +9,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import DomainError, NumericError, ScaleError, SpecError
-from .maxsliced import OptimizerOpts, _normalize_rows, grid_directions
+from .maxsliced import OptimizerOpts, _normalize_rows, _run_search, _value_on_grid
 from .measures import Gaussian, RngStream, as_samples
 from .ot1d import AnalyticCdf1d, gaussian_law, project
 
@@ -17,7 +21,6 @@ _BRANCH_EMPIRICAL = "empirical_minus_truth"  # (F_n - F) / sqrt(F_n)
 
 # perturbation for central-difference direction derivatives in ratio_sup
 _FD_STEP = 1e-4
-_RATIO_SEED_GRID = {2: 128, 3: 512}
 
 
 @dataclass(frozen=True)
@@ -37,10 +40,7 @@ class RatioStatResult:
 
 def _candidate_ratios(f: np.ndarray, fn: np.ndarray) -> np.ndarray:
     denom = np.sqrt(np.maximum(f, fn))
-    out = np.zeros_like(f)
-    pos = denom > 0.0
-    out[pos] = np.abs(f[pos] - fn[pos]) / denom[pos]
-    return out
+    return np.divide(np.abs(f - fn), denom, out=np.zeros(denom.shape), where=denom > 0.0)
 
 
 def ratio_fixed_direction(xs, theta, law: AnalyticCdf1d) -> RatioStatResult:
@@ -95,14 +95,48 @@ def _projected_law(spec: Gaussian, theta: np.ndarray) -> AnalyticCdf1d:
     return gaussian_law(float(theta @ spec.mean), max(var, 1e-300))
 
 
+class _RatioObjective:
+    """theta -> the ratio statistic along each row, batched.
+
+    value(rows) is ratio_fixed_direction's value for every row at once. The
+    statistic has no closed-form derivative, so value_and_grad returns
+    central differences, evaluated as 2d extra rows per direction in the same
+    batched value pass. p = 1 makes the search's oracle gap a plain difference.
+    """
+
+    p = 1.0
+
+    def __init__(self, x: np.ndarray, spec: Gaussian):
+        self.x, self.spec = x, spec
+        self.fn = (np.arange(x.shape[0] + 1) / x.shape[0])[:, None]  # F_n(t_i-), F_n(t_i)
+
+    def value(self, th: np.ndarray) -> np.ndarray:
+        var = np.einsum("rd,rd->r", th @ self.spec.cov, th)
+        sd = np.sqrt(np.maximum(var, 1e-300))
+        f = ndtr((np.sort(self.x @ th.T, axis=0) - th @ self.spec.mean) / sd)
+        cand = np.maximum(_candidate_ratios(f, self.fn[1:]), _candidate_ratios(f, self.fn[:-1]))
+        return cand.max(axis=0)
+
+    def value_and_grad(self, th: np.ndarray):
+        r, d = th.shape
+        step = _FD_STEP * np.eye(d)
+        shifted = np.stack([th[:, None, :] + step, th[:, None, :] - step], axis=1)
+        vals = _value_on_grid(self, np.vstack([th, _normalize_rows(shifted.reshape(-1, d))]))
+        pairs = vals[r:].reshape(r, 2, d)
+        return vals[:r], (pairs[:, 0] - pairs[:, 1]) / (2.0 * _FD_STEP)
+
+    def certify(self, theta: np.ndarray) -> float:
+        return ratio_fixed_direction(self.x, theta, _projected_law(self.spec, theta)).value
+
+
 def ratio_sup(xs, spec: Gaussian, opts: OptimizerOpts | None = None,
               rng: RngStream | None = None) -> RatioStatResult:
     """Heuristic maximization of the ratio statistic over directions.
 
-    Same restart-plus-local-search scaffold as the max-sliced optimizer, with
-    central-difference direction derivatives since the objective is not
-    differentiable in closed form. The result is a certified lower bound on
-    the sup over (theta, t).
+    Runs the max-sliced optimizer's search (restarts, seed directions, step
+    and stop rules) on the batched ratio objective. The result is recomputed
+    at the returned direction, so it is a certified lower bound on the sup
+    over (theta, t).
     """
     if not isinstance(spec, Gaussian):
         raise SpecError("ratio_sup requires a Gaussian spec (closed-form projections)")
@@ -112,55 +146,13 @@ def ratio_sup(xs, spec: Gaussian, opts: OptimizerOpts | None = None,
     opts = opts or OptimizerOpts()
     rng = rng or RngStream(0)
     d = x.shape[1]
-
-    def value(theta: np.ndarray) -> float:
-        return ratio_fixed_direction(x, theta, _projected_law(spec, theta)).value
-
+    objective = _RatioObjective(x, spec)
     if d == 1:
-        plus, minus = np.array([1.0]), np.array([-1.0])
-        best = plus if value(plus) >= value(minus) else minus
-        return ratio_fixed_direction(x, best, _projected_law(spec, best))
-
-    starts = [rng.child(r).generator().standard_normal(d) for r in range(opts.restarts)]
-    if opts.include_seeded_starts:
-        centered = x - x.mean(axis=0)
-        if x.shape[0] > 1:
-            _, vecs = np.linalg.eigh(centered.T @ centered)
-            starts.extend(vecs[:, -1 - k] for k in range(min(3, d)))
-        diff = x.mean(axis=0) - spec.mean
-        if np.linalg.norm(diff) > 1e-12:
-            starts.append(diff)
-        if d in _RATIO_SEED_GRID:
-            dirs = grid_directions(d, _RATIO_SEED_GRID[d])
-            starts.append(dirs[int(np.argmax([value(u) for u in dirs]))])
-    starts = _normalize_rows(np.asarray(starts))
-
-    best_val, best_theta = -np.inf, starts[0]
-    eye = np.eye(d)
-    for theta in starts:
-        val = value(theta)
-        if val > best_val:
-            best_val, best_theta = val, theta
-        for k in range(opts.max_iters):
-            grad = np.empty(d)
-            for axis in range(d):
-                up = _normalize_rows((theta + _FD_STEP * eye[axis])[None, :])[0]
-                dn = _normalize_rows((theta - _FD_STEP * eye[axis])[None, :])[0]
-                grad[axis] = (value(up) - value(dn)) / (2.0 * _FD_STEP)
-            step = (
-                opts.step0 / math.sqrt(k + 1.0)
-                if opts.step_decay == 1.0
-                else opts.step0 * opts.step_decay**k
-            )
-            theta_new = _normalize_rows((theta + step * grad)[None, :], fallback=theta[None, :])[0]
-            val_new = value(theta_new)
-            if val_new > best_val:
-                best_val, best_theta = val_new, theta_new
-            done = abs(val_new - val) < opts.tol
-            theta, val = theta_new, val_new
-            if done:
-                break
-    return ratio_fixed_direction(x, best_theta, _projected_law(spec, best_theta))
+        signs = np.array([[1.0], [-1.0]])
+        theta = signs[int(np.argmax(objective.value(signs)))]
+    else:
+        theta = _run_search(objective, x, x.mean(0) - spec.mean, None, d, opts, rng).argmax
+    return ratio_fixed_direction(x, theta, _projected_law(spec, theta))
 
 
 def shatter_count(points) -> int:

@@ -60,14 +60,9 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """A kernel together with the number of eigenpairs kept available."""
+    """A kernel whose eigensystem the functions below evaluate."""
 
     kernel: KernelSpec
-    max_index: int = 64
-
-    def __post_init__(self):
-        if self.max_index < 1:
-            raise SpecError(f"max_index must be >= 1, got {self.max_index}")
 
 
 def eigenvalue(basis: SpectralBasis, j: int) -> float:

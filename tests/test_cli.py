@@ -144,7 +144,7 @@ def test_rkhs_spectrum_command(tmp_path):
     assert report["orthonormality_error"] < 1e-10
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     # missing config file -> I/O error
     assert main(["rate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o.csv")]) == 4
     # bad experiment -> config error
@@ -158,3 +158,16 @@ def test_exit_codes(tmp_path):
         "n_grid = 8, 16\nmc_runs = 1\nrestarts = 2\nmax_iters = 10\n"
     )
     assert main(["rate", "--config", str(good), "--out", str(tmp_path / "no_dir" / "o.csv")]) == 4
+    # negative worker count -> config error
+    assert main(["rate", "--config", str(good), "--out", str(tmp_path / "o.csv"), "--threads", "-1"]) == 2
+    # misspelled config key -> config error
+    typo = tmp_path / "typo.cfg"
+    typo.write_text(good.read_text() + "restrats = 3\n")
+    assert main(["rate", "--config", str(typo), "--out", str(tmp_path / "o.csv")]) == 2
+    # ragged sample file -> config error naming the short line
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("x1,x2\n0.1,0.2\n0.3\n0.4,0.5\n")
+    assert main(["compute", str(ragged), str(ragged)]) == 2
+    assert f"{ragged}:3: expected 2 values, got 1" in capsys.readouterr().err
+    # empty eigenvalue table -> config error
+    assert main(["rkhs-spectrum", "--sigma2", "4", "--w", "1", "--j-max", "0"]) == 2

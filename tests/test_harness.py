@@ -6,6 +6,7 @@ import pytest
 
 from msw import (
     ConfigError,
+    DomainError,
     Gaussian,
     KernelSpec,
     OptimizerOpts,
@@ -121,6 +122,8 @@ def test_thread_count_does_not_change_results():
     auto = run_rate_experiment(cfg, threads=0)
     assert serial.same_statistics(parallel)
     assert serial.same_statistics(auto)
+    with pytest.raises(DomainError):
+        run_rate_experiment(cfg, threads=-1)
 
 
 def test_single_run_curve_is_reproducible():

@@ -20,7 +20,8 @@ from msw import (
     shatter_count,
     vc_bound,
 )
-from msw.ratio import ratio_at_threshold
+from msw.maxsliced import _normalize_rows, grid_directions
+from msw.ratio import _FD_STEP, _projected_law, _RatioObjective, ratio_at_threshold
 
 FAST = OptimizerOpts(restarts=6, max_iters=50)
 
@@ -81,6 +82,46 @@ def test_ratio_sup_dominates_fixed_directions():
     for theta in ([1.0, 0.0], [0.0, 1.0], [2.0**-0.5, 2.0**-0.5]):
         fixed = ratio_fixed_direction(xs, theta, gaussian_law(0.0, 1.0))
         assert res.value >= fixed.value - 1e-12
+
+
+def _scalar_value(xs, spec, theta):
+    return ratio_fixed_direction(xs, theta, _projected_law(spec, theta)).value
+
+
+def _scalar_fd_gradient(xs, spec, theta):
+    """One direction at a time, the central difference ratio_sup once looped over."""
+    grad = np.empty(theta.size)
+    for axis, e in enumerate(np.eye(theta.size)):
+        up = _normalize_rows((theta + _FD_STEP * e)[None, :])[0]
+        dn = _normalize_rows((theta - _FD_STEP * e)[None, :])[0]
+        grad[axis] = (_scalar_value(xs, spec, up) - _scalar_value(xs, spec, dn)) / (2.0 * _FD_STEP)
+    return grad
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_ratio_objective_matches_the_scalar_statistic(d):
+    rng = np.random.default_rng(40 + d)
+    a = rng.normal(size=(d, d))
+    spec = Gaussian(rng.normal(size=d), a @ a.T + 0.5 * np.eye(d))
+    xs = sample(spec, 150, RngStream(4, d))
+    rows = _normalize_rows(rng.normal(size=(5, d)))
+    objective = _RatioObjective(xs, spec)
+    vals, grads = objective.value_and_grad(rows)
+    assert np.array_equal(vals, objective.value(rows))
+    assert vals == pytest.approx([_scalar_value(xs, spec, t) for t in rows], rel=1e-12)
+    # values in [0, 1] agreeing to 1e-12 move a difference quotient over 2e-4 by <= 1e-8
+    for theta, grad in zip(rows, grads):
+        assert grad == pytest.approx(_scalar_fd_gradient(xs, spec, theta), rel=0.0, abs=1e-8)
+
+
+def test_ratio_sup_is_certified_and_beats_the_seed_grid():
+    spec = Gaussian(np.zeros(2), np.eye(2))
+    grid = grid_directions(2, 256)
+    for seed in range(4):
+        xs = sample(spec, 80, RngStream(seed, 0))
+        res = ratio_sup(xs, spec, FAST, RngStream(seed, 2))
+        assert res.value == _scalar_value(xs, spec, res.arg_theta)
+        assert res.value >= max(_scalar_value(xs, spec, u) for u in grid) - 1e-12
 
 
 def test_ratio_sup_requires_gaussian():

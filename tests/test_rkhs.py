@@ -141,7 +141,7 @@ def test_feature_coords_examples():
 
 @pytest.mark.parametrize("spec", [INT_SPEC, EXP_SPEC])
 def test_mercer_reconstruction_distinguishes_weightings(spec):
-    basis = SpectralBasis(spec, max_index=60)
+    basis = SpectralBasis(spec)
     sigma = math.sqrt(spec.sigma2)
     grid = np.linspace(-3.0 * sigma, 3.0 * sigma, 9)
     coords = feature_coords(basis, grid, 60)  # rows are sqrt(lambda_j) psi_j(z)
