@@ -113,12 +113,31 @@ def grid_directions(d: int, resolution: int) -> np.ndarray:
     raise UnsupportedDimensionError(f"direction grids exist for d in {{2, 3}}, got d={d}")
 
 
+def _argsort_columns(proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column ascending order of proj and the sorted values.
+
+    Equals np.argsort(proj, axis=0, kind="stable") bit for bit, at the cost of
+    the faster default sort. Where a column's values are distinct its order
+    is unique, so any sort finds it; only the columns holding an exact tie
+    are sorted again stably, so tied entries keep their index order.
+    """
+    order = np.argsort(proj, axis=0)
+    s = proj[order, np.arange(proj.shape[1])]
+    tied = np.flatnonzero(np.any(s[1:] == s[:-1], axis=0))
+    if tied.size:
+        order[:, tied] = np.argsort(proj[:, tied], axis=0, kind="stable")
+        s[:, tied] = proj[order[:, tied], tied]
+    return order, s
+
+
 class _TwoSampleObjective:
     """theta -> W_p^p(mu_theta, nu_theta) for two empirical measures, batched.
 
     Directions are passed as the rows of a matrix; values and fixed-matching
-    subgradients come back one per row. Sorting uses a stable order so tied
-    projections always couple by original index.
+    subgradients come back one per row. Tied projections couple by original
+    index: _argsort_columns sorts with the default sort and re-sorts stably
+    only the columns that hold a tie. value needs only the sorted values,
+    whose distances |sx - sy| are the same under any tie order.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, p: float):
@@ -128,21 +147,16 @@ class _TwoSampleObjective:
             w, xi, yj = quantile_blocks(x.shape[0], y.shape[0])
             self.w, self.xi, self.yj = w[:, None], xi, yj
 
-    def _sorted_projections(self, th: np.ndarray):
-        px = self.x @ th.T
-        py = self.y @ th.T
-        ox = np.argsort(px, axis=0, kind="stable")
-        oy = np.argsort(py, axis=0, kind="stable")
-        return ox, oy, np.take_along_axis(px, ox, 0), np.take_along_axis(py, oy, 0)
-
     def value(self, th: np.ndarray) -> np.ndarray:
-        _, _, sx, sy = self._sorted_projections(th)
+        sx = np.sort(self.x @ th.T, axis=0)
+        sy = np.sort(self.y @ th.T, axis=0)
         if self.equal:
             return np.mean(np.abs(sx - sy) ** self.p, axis=0)
         return np.sum(self.w * np.abs(sx[self.xi] - sy[self.yj]) ** self.p, axis=0)
 
     def value_and_grad(self, th: np.ndarray):
-        ox, oy, sx, sy = self._sorted_projections(th)
+        ox, sx = _argsort_columns(self.x @ th.T)
+        oy, sy = _argsort_columns(self.y @ th.T)
         p = self.p
         if self.equal:
             n = self.x.shape[0]
@@ -158,12 +172,14 @@ class _TwoSampleObjective:
             delta = sx[self.xi] - sy[self.yj]
             absd = np.abs(delta)
             vals = np.sum(self.w * absd**p, axis=0)
-            coef = p * self.w * np.sign(delta) * absd ** (p - 1.0)
-            cols = np.broadcast_to(np.arange(th.shape[0]), coef.shape)
-            ax = np.zeros((self.x.shape[0], th.shape[0]))
-            ay = np.zeros((self.y.shape[0], th.shape[0]))
-            np.add.at(ax, (np.take_along_axis(ox, np.broadcast_to(self.xi[:, None], coef.shape), 0), cols), coef)
-            np.add.at(ay, (np.take_along_axis(oy, np.broadcast_to(self.yj[:, None], coef.shape), 0), cols), coef)
+            coef = (p * self.w * np.sign(delta) * absd ** (p - 1.0)).ravel()
+            # bincount adds in input order from zero, so each point's sum of
+            # block coefficients has the same bits as a sequential scatter
+            r = th.shape[0]
+            cols = np.arange(r)
+            ax = np.bincount((ox[self.xi] * r + cols).ravel(), coef, self.x.shape[0] * r)
+            ay = np.bincount((oy[self.yj] * r + cols).ravel(), coef, self.y.shape[0] * r)
+            ax, ay = ax.reshape(-1, r), ay.reshape(-1, r)
         grads = ax.T @ self.x - ay.T @ self.y
         return vals, grads
 
@@ -176,7 +192,9 @@ class _AnalyticObjective:
 
     The standard-normal quantiles at the per-block quadrature nodes depend
     only on the sample size, so they are precomputed once; each direction then
-    costs one projection, one sort and a weighted power sum.
+    costs one projection, one sort and a weighted power sum. The sort is
+    _argsort_columns: a direction whose projections tie is sorted once more,
+    stably, so ties keep their index order.
     """
 
     def __init__(self, x: np.ndarray, spec: Gaussian, p: float, nodes: int = _OPT_NODES):
@@ -193,9 +211,7 @@ class _AnalyticObjective:
         mth = th @ self.mean
         sig_th = th @ self.cov
         s = np.sqrt(np.maximum(np.einsum("rd,rd->r", sig_th, th), 0.0))
-        px = self.x @ th.T
-        ox = np.argsort(px, axis=0, kind="stable")
-        sx = np.take_along_axis(px, ox, 0)
+        ox, sx = _argsort_columns(self.x @ th.T)
         delta = sx[:, None, :] - mth[None, None, :] - s[None, None, :] * self.z[:, :, None]
         return mth, sig_th, s, ox, delta
 
@@ -227,7 +243,8 @@ class _AnalyticObjective:
 
 def _value_on_grid(objective, dirs: np.ndarray) -> np.ndarray:
     """Objective values over many directions, chunked to bound memory."""
-    n = objective.x.shape[0]
+    # a two-sample objective's memory scales with its larger sample
+    n = max(objective.x.shape[0], getattr(objective, "y", objective.x).shape[0])
     chunk = max(64, int(4_000_000 / max(n, 1)))
     out = np.empty(dirs.shape[0])
     for k in range(0, dirs.shape[0], chunk):

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from msw import (
     DomainError,
@@ -16,6 +19,12 @@ from msw import (
     msw_vs_analytic,
     w1d_empirical,
     wasserstein_full,
+)
+from msw.maxsliced import (
+    _AnalyticObjective,
+    _argsort_columns,
+    _normalize_rows,
+    _TwoSampleObjective,
 )
 
 FAST = OptimizerOpts(restarts=8, max_iters=120)
@@ -201,3 +210,151 @@ def test_vs_analytic_d1_and_spec_errors():
 
     with pytest.raises(SpecError):
         msw_vs_analytic([[1.0, 1.0]], ParetoProduct(8.0, 2), 2.0, FAST, RngStream(0))
+
+
+# Columns of a projection matrix: free floats, values rounded to 0.1, signed
+# zeros among a few values, and one value repeated down the whole column.
+_COLUMN_VALUES = {
+    "float": st.floats(min_value=-50.0, max_value=50.0),
+    "rounded": st.integers(-20, 20).map(lambda k: k / 10.0),
+    "signed_zero": st.sampled_from([-0.0, 0.0, -1.0, 1.0]),
+}
+
+
+@st.composite
+def tie_matrices(draw):
+    n = draw(st.integers(1, 40))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from([*_COLUMN_VALUES, "constant"]), min_size=1, max_size=6)):
+        if kind == "constant":
+            cols.append([draw(_COLUMN_VALUES["float"])] * n)
+        else:
+            cols.append(draw(st.lists(_COLUMN_VALUES[kind], min_size=n, max_size=n)))
+    proj = np.array(cols).T
+    dup = draw(st.lists(st.integers(0, n - 1), max_size=5))
+    proj = np.vstack([proj, proj[dup]])
+    return proj[draw(st.permutations(range(proj.shape[0])))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(proj=tie_matrices())
+@example(proj=np.array([[0.3, 0.0, 2.0], [0.1, -0.0, 2.0], [0.3, 0.0, 2.0], [0.2, -0.0, 2.0], [0.7, 1.0, 2.0]]))
+@example(proj=np.array([[1.5, 0.1], [-2.0, 0.2], [0.25, 0.1], [3.0, 0.1]]))
+def test_argsort_columns_is_the_stable_argsort(proj):
+    order, s = _argsort_columns(proj)
+    want = np.argsort(proj, axis=0, kind="stable")
+    assert np.array_equal(order, want)
+    # bit patterns, so that -0.0 and 0.0 must land where the stable sort puts them
+    assert np.array_equal(s.view(np.int64), np.take_along_axis(proj, want, 0).view(np.int64))
+
+
+def _stable_two_sample_value_and_grad(obj, th):
+    """The two-sample objective as computed with a stable argsort and np.add.at."""
+    px, py = obj.x @ th.T, obj.y @ th.T
+    ox = np.argsort(px, axis=0, kind="stable")
+    oy = np.argsort(py, axis=0, kind="stable")
+    sx, sy = np.take_along_axis(px, ox, 0), np.take_along_axis(py, oy, 0)
+    p = obj.p
+    if obj.equal:
+        n = obj.x.shape[0]
+        delta = sx - sy
+        absd = np.abs(delta)
+        vals = np.mean(absd**p, axis=0)
+        coef = (p / n) * np.sign(delta) * absd ** (p - 1.0)
+        ax = np.empty_like(coef)
+        ay = np.empty_like(coef)
+        np.put_along_axis(ax, ox, coef, axis=0)
+        np.put_along_axis(ay, oy, coef, axis=0)
+    else:
+        delta = sx[obj.xi] - sy[obj.yj]
+        absd = np.abs(delta)
+        vals = np.sum(obj.w * absd**p, axis=0)
+        coef = p * obj.w * np.sign(delta) * absd ** (p - 1.0)
+        cols = np.broadcast_to(np.arange(th.shape[0]), coef.shape)
+        ax = np.zeros((obj.x.shape[0], th.shape[0]))
+        ay = np.zeros((obj.y.shape[0], th.shape[0]))
+        np.add.at(ax, (np.take_along_axis(ox, np.broadcast_to(obj.xi[:, None], coef.shape), 0), cols), coef)
+        np.add.at(ay, (np.take_along_axis(oy, np.broadcast_to(obj.yj[:, None], coef.shape), 0), cols), coef)
+    return vals, ax.T @ obj.x - ay.T @ obj.y
+
+
+def _stable_analytic_value_and_grad(obj, th):
+    """The analytic objective as computed with a stable argsort."""
+    mth = th @ obj.mean
+    sig_th = th @ obj.cov
+    s = np.sqrt(np.maximum(np.einsum("rd,rd->r", sig_th, th), 0.0))
+    px = obj.x @ th.T
+    ox = np.argsort(px, axis=0, kind="stable")
+    sx = np.take_along_axis(px, ox, 0)
+    delta = sx[:, None, :] - mth[None, None, :] - s[None, None, :] * obj.z[:, :, None]
+    absd = np.abs(delta)
+    vals = np.einsum("nk,nkr->r", obj.wq, absd**obj.p)
+    coef = obj.p * obj.wq[:, :, None] * np.sign(delta) * absd ** (obj.p - 1.0)
+    per_point = coef.sum(axis=1)
+    total = per_point.sum(axis=0)
+    z_weighted = np.einsum("nkr,nk->r", coef, obj.z)
+    ax = np.empty_like(per_point)
+    np.put_along_axis(ax, ox, per_point, axis=0)
+    grads = (
+        ax.T @ obj.x
+        - total[:, None] * obj.mean[None, :]
+        - (z_weighted / np.maximum(s, 1e-150))[:, None] * sig_th
+    )
+    return vals, grads
+
+
+def _directions(rng, r, d):
+    # random rows plus the first axis, along which rounded data tie
+    th = rng.normal(size=(r, d))
+    th[0] = np.eye(d)[0]
+    return _normalize_rows(th)
+
+
+@pytest.mark.parametrize(
+    "n,m,d,decimals",
+    [(200, 200, 3, None), (300, 170, 3, None), (1600, 50, 8, None),
+     (150, 150, 2, 1), (160, 90, 2, 1), (1600, 50, 2, 1)],
+)
+def test_two_sample_objective_matches_stable_sort_reference(n, m, d, decimals):
+    rng = np.random.default_rng(n + m + d)
+    x, y = rng.normal(size=(n, d)), rng.normal(size=(m, d)) + 0.5
+    if decimals is not None:
+        x, y = np.round(x, decimals), np.round(y, decimals)
+    th = _directions(rng, 13, d)
+    obj = _TwoSampleObjective(x, y, 2.0)
+    vals, grads = obj.value_and_grad(th)
+    want_vals, want_grads = _stable_two_sample_value_and_grad(obj, th)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(grads, want_grads)
+    assert np.array_equal(obj.value(th), want_vals)
+
+
+@pytest.mark.parametrize("n,d,decimals", [(200, 3, None), (1600, 8, None), (300, 2, 1)])
+def test_analytic_objective_matches_stable_sort_reference(n, d, decimals):
+    rng = np.random.default_rng(n + d)
+    x = rng.normal(size=(n, d))
+    if decimals is not None:
+        x = np.round(x, decimals)
+    spec = Gaussian(np.full(d, 0.2), np.diag(np.linspace(0.5, 2.0, d)))
+    th = _directions(rng, 13, d)
+    obj = _AnalyticObjective(x, spec, 2.0)
+    vals, grads = obj.value_and_grad(th)
+    want_vals, want_grads = _stable_analytic_value_and_grad(obj, th)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(grads, want_grads)
+    assert np.array_equal(obj.value(th), want_vals)
+
+
+def test_grid_oracle_memory_follows_the_larger_sample():
+    rng = np.random.default_rng(97)
+    small, large = rng.normal(size=(10, 2)), rng.normal(size=(20_000, 2)) + 0.3
+    values, peaks = [], []
+    for a, b in ((small, large), (large, small)):
+        tracemalloc.start()
+        try:
+            values.append(msw_grid_oracle(a, b, 2.0, 1024).value)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert values[0] == pytest.approx(values[1], rel=1e-12)
+    assert max(peaks) <= 1.5 * min(peaks)
