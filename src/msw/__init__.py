@@ -65,7 +65,6 @@ from .ratio import (
 from .rkhs import (
     AssumptionReport,
     KernelSpec,
-    SpectralBasis,
     SpectrumReport,
     check_assumptions,
     check_spectrum,

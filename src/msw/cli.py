@@ -25,11 +25,11 @@ from .harness import (
 )
 from .maxsliced import OptimizerOpts, msw_empirical
 from .measures import Gaussian, ParetoProduct, RkhsPushforward, RngStream
-from .rkhs import KernelSpec, SpectralBasis, check_assumptions, check_spectrum, eigenvalues
+from .rkhs import KernelSpec, check_assumptions, check_spectrum, eigenvalues
 
 DEFAULT_EPS_GRID = tuple(round(0.05 * k, 2) for k in range(1, 25))
 
-_OPTIMIZER_KEYS = ("restarts", "max_iters", "step0", "step_decay", "tol", "include_seeded_starts")
+_OPTIMIZER_KEYS = ("restarts", "max_iters", "tol")
 # every key config_from_mapping reads; README.md documents the same set
 _CONFIG_KEYS = frozenset((
     "experiment", "distribution", "d", "mean", "covariance", "shape", "sigma2", "w", "eta2",
@@ -267,9 +267,8 @@ def _cmd_ratio(args) -> int:
 
 def _cmd_rkhs_spectrum(args) -> int:
     kernel = KernelSpec(args.sigma2, args.w)
-    basis = SpectralBasis(kernel)
-    lams = eigenvalues(basis, args.j_max)
-    report = check_spectrum(basis, min(args.j_max, args.check_j)) if args.check else None
+    lams = eigenvalues(kernel, args.j_max)
+    report = check_spectrum(kernel, min(args.j_max, args.check_j)) if args.check else None
     assumptions = check_assumptions(kernel, args.eta2, args.p)
     if args.format == "csv":
         lines = ["j,lambda"]

@@ -6,8 +6,12 @@ lockstep as one batched array pass, which is what makes the Monte Carlo
 experiments affordable. Reported values are certified lower bounds: the
 distance is always recomputed from scratch at the returned direction.
 
-msw.ratio runs the ratio statistic through the same search: _run_search takes
-any objective with batched value and value_and_grad, certify, and an order p.
+_run_search takes any objective with this protocol: p, the order (the oracle
+gap is reported on the p-th root); per_direction, the array elements one
+direction costs in value, which sizes the chunks of _value_on_grid; value and
+value_and_grad, batched over the rows of a direction matrix; and certify, the
+value recomputed from scratch at one direction. msw.ratio runs the ratio
+statistic through the same search.
 """
 from __future__ import annotations
 
@@ -36,33 +40,27 @@ _SEED_GRID = {2: 256, 3: 1024}
 # quadrature order for the analytic objective during iteration; the final
 # certificate is recomputed at the full default order of w1d_vs_cdf
 _OPT_NODES = 8
+# first step length of the ascent; step k is _STEP0 / sqrt(k + 1)
+_STEP0 = 0.1
 
 
 @dataclass(frozen=True)
 class OptimizerOpts:
     """Knobs of the projected subgradient ascent.
 
-    step_decay == 1 selects the step0/sqrt(k+1) schedule; anything in (0, 1)
-    decays geometrically. A restart stops once its one-step objective change
-    falls below tol.
+    The step rule is fixed: step k = 0, 1, ... has length 0.1/sqrt(k+1). A
+    restart stops once its one-step objective change falls below tol.
     """
 
     restarts: int = 30
     max_iters: int = 500
-    step0: float = 0.1
-    step_decay: float = 1.0
     tol: float = 1e-9
-    include_seeded_starts: bool = True
 
     def __post_init__(self):
         if self.restarts < 1:
             raise DomainError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise DomainError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.step0 > 0.0:
-            raise DomainError(f"step0 must be positive, got {self.step0}")
-        if not 0.0 < self.step_decay <= 1.0:
-            raise DomainError(f"step_decay must be in (0, 1], got {self.step_decay}")
         if not self.tol > 0.0:
             raise DomainError(f"tol must be positive, got {self.tol}")
 
@@ -142,6 +140,7 @@ class _TwoSampleObjective:
 
     def __init__(self, x: np.ndarray, y: np.ndarray, p: float):
         self.x, self.y, self.p = x, y, p
+        self.per_direction = max(x.shape[0], y.shape[0])
         self.equal = x.shape[0] == y.shape[0]
         if not self.equal:
             w, xi, yj = quantile_blocks(x.shape[0], y.shape[0])
@@ -192,35 +191,38 @@ class _AnalyticObjective:
 
     The standard-normal quantiles at the per-block quadrature nodes depend
     only on the sample size, so they are precomputed once; each direction then
-    costs one projection, one sort and a weighted power sum. The sort is
-    _argsort_columns: a direction whose projections tie is sorted once more,
-    stably, so ties keep their index order.
+    costs one projection, one sort and a weighted power sum. value sorts the
+    values only; value_and_grad sorts with _argsort_columns, where a direction
+    whose projections tie is sorted once more, stably, so ties keep their
+    index order.
     """
 
     def __init__(self, x: np.ndarray, spec: Gaussian, p: float, nodes: int = _OPT_NODES):
         self.x, self.p = x, p
         self.mean, self.cov = spec.mean, spec.cov
         n = x.shape[0]
+        self.per_direction = n * nodes
         lo, hi, _ = _integration_cells(n, None)
         t, v = _leggauss(nodes)
         u = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t[None, :]
         self.wq = 0.5 * (hi - lo)[:, None] * v[None, :]  # (n, K)
         self.z = ndtri(u)
 
-    def _parts(self, th: np.ndarray):
+    def _delta(self, sx: np.ndarray, th: np.ndarray):
+        """Sigma theta, the projected sd s, and sx minus the quantiles at the nodes."""
         mth = th @ self.mean
         sig_th = th @ self.cov
         s = np.sqrt(np.maximum(np.einsum("rd,rd->r", sig_th, th), 0.0))
-        ox, sx = _argsort_columns(self.x @ th.T)
         delta = sx[:, None, :] - mth[None, None, :] - s[None, None, :] * self.z[:, :, None]
-        return mth, sig_th, s, ox, delta
+        return sig_th, s, delta
 
     def value(self, th: np.ndarray) -> np.ndarray:
-        *_, delta = self._parts(th)
+        *_, delta = self._delta(np.sort(self.x @ th.T, axis=0), th)
         return np.einsum("nk,nkr->r", self.wq, np.abs(delta) ** self.p)
 
     def value_and_grad(self, th: np.ndarray):
-        _, sig_th, s, ox, delta = self._parts(th)
+        ox, sx = _argsort_columns(self.x @ th.T)
+        sig_th, s, delta = self._delta(sx, th)
         absd = np.abs(delta)
         vals = np.einsum("nk,nkr->r", self.wq, absd**self.p)
         coef = self.p * self.wq[:, :, None] * np.sign(delta) * absd ** (self.p - 1.0)
@@ -243,9 +245,7 @@ class _AnalyticObjective:
 
 def _value_on_grid(objective, dirs: np.ndarray) -> np.ndarray:
     """Objective values over many directions, chunked to bound memory."""
-    # a two-sample objective's memory scales with its larger sample
-    n = max(objective.x.shape[0], getattr(objective, "y", objective.x).shape[0])
-    chunk = max(64, int(4_000_000 / max(n, 1)))
+    chunk = max(64, int(4_000_000 / max(objective.per_direction, 1)))
     out = np.empty(dirs.shape[0])
     for k in range(0, dirs.shape[0], chunk):
         out[k : k + chunk] = objective.value(dirs[k : k + chunk])
@@ -253,28 +253,27 @@ def _value_on_grid(objective, dirs: np.ndarray) -> np.ndarray:
 
 
 def _collect_starts(objective, pooled: np.ndarray, mean_diff: np.ndarray,
-                    extra_axes: np.ndarray | None, d: int, opts: OptimizerOpts,
-                    rng: RngStream):
+                    extra_axes: np.ndarray | None, opts: OptimizerOpts, rng: RngStream):
     """Random restarts plus seed directions; returns (starts, coarse grid value)."""
+    d = pooled.shape[1]
     rows = [
         rng.child(r).generator().standard_normal(d) for r in range(opts.restarts)
     ]
     coarse = None
-    if opts.include_seeded_starts:
-        centered = pooled - pooled.mean(axis=0)
-        if pooled.shape[0] > 1:
-            _, vecs = np.linalg.eigh(centered.T @ centered)
-            rows.extend(vecs[:, -1 - k] for k in range(min(3, d)))
-        if extra_axes is not None:
-            rows.extend(extra_axes)
-        if np.linalg.norm(mean_diff) > 1e-12:
-            rows.append(mean_diff)
-        if d in _SEED_GRID:
-            dirs = grid_directions(d, _SEED_GRID[d])
-            vals = _value_on_grid(objective, dirs)
-            best = int(np.argmax(vals))
-            rows.append(dirs[best])
-            coarse = float(vals[best])
+    centered = pooled - pooled.mean(axis=0)
+    if pooled.shape[0] > 1:
+        _, vecs = np.linalg.eigh(centered.T @ centered)
+        rows.extend(vecs[:, -1 - k] for k in range(min(3, d)))
+    if extra_axes is not None:
+        rows.extend(extra_axes)
+    if np.linalg.norm(mean_diff) > 1e-12:
+        rows.append(mean_diff)
+    if d in _SEED_GRID:
+        dirs = grid_directions(d, _SEED_GRID[d])
+        vals = _value_on_grid(objective, dirs)
+        best = int(np.argmax(vals))
+        rows.append(dirs[best])
+        coarse = float(vals[best])
     return _normalize_rows(np.asarray(rows)), coarse
 
 
@@ -287,10 +286,7 @@ def _ascend(objective, starts: np.ndarray, opts: OptimizerOpts):
     active = np.ones(th.shape[0], dtype=bool)
     iters = 0
     for k in range(opts.max_iters):
-        if opts.step_decay == 1.0:
-            step = opts.step0 / math.sqrt(k + 1.0)
-        else:
-            step = opts.step0 * opts.step_decay**k
+        step = _STEP0 / math.sqrt(k + 1.0)
         th_new = th + step * active[:, None] * grads
         th_new = _normalize_rows(th_new, fallback=th)
         new_vals, new_grads = objective.value_and_grad(th_new)
@@ -305,8 +301,8 @@ def _ascend(objective, starts: np.ndarray, opts: OptimizerOpts):
     return best_vals, best_th, iters
 
 
-def _run_search(objective, pooled, mean_diff, extra_axes, d, opts, rng) -> MswResult:
-    starts, coarse = _collect_starts(objective, pooled, mean_diff, extra_axes, d, opts, rng)
+def _run_search(objective, pooled, mean_diff, extra_axes, opts, rng) -> MswResult:
+    starts, coarse = _collect_starts(objective, pooled, mean_diff, extra_axes, opts, rng)
     best_vals, best_th, iters = _ascend(objective, starts, opts)
     idx = int(np.argmax(best_vals))  # ties resolve to the lowest start index
     theta = best_th[idx] / np.linalg.norm(best_th[idx])
@@ -342,7 +338,7 @@ def msw_empirical(xs, ys, p: float, opts: OptimizerOpts | None = None,
         return MswResult(value, np.array([1.0]), restarts_used=0, iterations=0)
     objective = _TwoSampleObjective(x, y, p)
     pooled = np.vstack([x, y])
-    return _run_search(objective, pooled, x.mean(0) - y.mean(0), None, d, opts, rng)
+    return _run_search(objective, pooled, x.mean(0) - y.mean(0), None, opts, rng)
 
 
 def msw_vs_analytic(xs, spec: Gaussian, p: float, opts: OptimizerOpts | None = None,
@@ -370,7 +366,7 @@ def msw_vs_analytic(xs, spec: Gaussian, p: float, opts: OptimizerOpts | None = N
     objective = _AnalyticObjective(x, spec, p)
     _, cov_axes = np.linalg.eigh(spec.cov)
     extra = cov_axes[:, : -min(3, d) - 1 : -1].T
-    return _run_search(objective, x, x.mean(0) - spec.mean, extra, d, opts, rng)
+    return _run_search(objective, x, x.mean(0) - spec.mean, extra, opts, rng)
 
 
 def msw_grid_oracle(xs, ys, p: float, resolution: int) -> MswResult:

@@ -159,8 +159,7 @@ def sample(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
         return (1.0 - u) ** (-1.0 / spec.shape)
     if isinstance(spec, RkhsPushforward):
         z = math.sqrt(spec.eta2) * gen.standard_normal(n)
-        basis = rkhs.SpectralBasis(spec.kernel)
-        return rkhs.feature_coords(basis, z, spec.d_test)
+        return rkhs.feature_coords(spec.kernel, z, spec.d_test)
     raise SpecError(f"unknown distribution spec {type(spec).__name__}")
 
 

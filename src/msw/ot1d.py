@@ -52,7 +52,6 @@ class AnalyticCdf1d:
 
     cdf: Callable[[np.ndarray], np.ndarray]
     quantile: Callable[[np.ndarray], np.ndarray]
-    descriptor: str
     quantile_jumps: np.ndarray | None = None
     cdf_left: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -65,7 +64,6 @@ def gaussian_law(mean: float, var: float) -> AnalyticCdf1d:
     return AnalyticCdf1d(
         cdf=lambda t: ndtr((np.asarray(t, dtype=np.float64) - mean) / sd),
         quantile=lambda u: mean + sd * ndtri(np.asarray(u, dtype=np.float64)),
-        descriptor=f"Gaussian(mean={mean:g}, var={var:g})",
     )
 
 
@@ -89,7 +87,6 @@ def empirical_law(values) -> AnalyticCdf1d:
     return AnalyticCdf1d(
         cdf=cdf,
         quantile=quantile,
-        descriptor=f"Empirical(m={m})",
         quantile_jumps=np.arange(1, m) / m,
         cdf_left=cdf_left,
     )

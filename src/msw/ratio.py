@@ -108,6 +108,7 @@ class _RatioObjective:
 
     def __init__(self, x: np.ndarray, spec: Gaussian):
         self.x, self.spec = x, spec
+        self.per_direction = x.shape[0] + 1
         self.fn = (np.arange(x.shape[0] + 1) / x.shape[0])[:, None]  # F_n(t_i-), F_n(t_i)
 
     def value(self, th: np.ndarray) -> np.ndarray:
@@ -145,13 +146,12 @@ def ratio_sup(xs, spec: Gaussian, opts: OptimizerOpts | None = None,
         raise DomainError(f"dimension mismatch: samples {x.shape[1]}, spec {spec.dim}")
     opts = opts or OptimizerOpts()
     rng = rng or RngStream(0)
-    d = x.shape[1]
     objective = _RatioObjective(x, spec)
-    if d == 1:
+    if x.shape[1] == 1:
         signs = np.array([[1.0], [-1.0]])
         theta = signs[int(np.argmax(objective.value(signs)))]
     else:
-        theta = _run_search(objective, x, x.mean(0) - spec.mean, None, d, opts, rng).argmax
+        theta = _run_search(objective, x, x.mean(0) - spec.mean, None, opts, rng).argmax
     return ratio_fixed_direction(x, theta, _projected_law(spec, theta))
 
 

@@ -58,14 +58,7 @@ class KernelSpec:
         return np.exp(-((z - zp) ** 2) / (2.0 * self.w**2))
 
 
-@dataclass(frozen=True)
-class SpectralBasis:
-    """A kernel whose eigensystem the functions below evaluate."""
-
-    kernel: KernelSpec
-
-
-def eigenvalue(basis: SpectralBasis, j: int) -> float:
+def eigenvalue(kernel: KernelSpec, j: int) -> float:
     """j-th eigenvalue sqrt(2a/(a+b+c)) * (b/(a+b+c))^j, indexed from j = 0.
 
     Evaluated in log space so that large j underflows gracefully to 0 instead
@@ -73,28 +66,26 @@ def eigenvalue(basis: SpectralBasis, j: int) -> float:
     """
     if j < 0:
         raise DomainError(f"eigenvalue index must be >= 0, got {j}")
-    k = basis.kernel
-    s = k.a + k.b + k.c
-    return math.exp(0.5 * math.log(2.0 * k.a / s) + j * math.log(k.b / s))
+    s = kernel.a + kernel.b + kernel.c
+    return math.exp(0.5 * math.log(2.0 * kernel.a / s) + j * math.log(kernel.b / s))
 
 
-def eigenvalues(basis: SpectralBasis, count: int) -> np.ndarray:
+def eigenvalues(kernel: KernelSpec, count: int) -> np.ndarray:
     """Eigenvalues lambda_0 .. lambda_{count-1} as one array."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    k = basis.kernel
-    s = k.a + k.b + k.c
+    s = kernel.a + kernel.b + kernel.c
     j = np.arange(count)
-    return np.exp(0.5 * math.log(2.0 * k.a / s) + j * math.log(k.b / s))
+    return np.exp(0.5 * math.log(2.0 * kernel.a / s) + j * math.log(kernel.b / s))
 
 
-def eigenvalue_bounds(basis: SpectralBasis, j: int) -> tuple[float, float]:
+def eigenvalue_bounds(kernel: KernelSpec, j: int) -> tuple[float, float]:
     """Two-sided sandwich for lambda_j, valid whenever kappa >= 4.
 
     Returns (sqrt(2/(1+kappa+sqrt(1+2kappa))) * 2^-j, 1/2); the eigenvalue is
     guaranteed to lie between the two when the decay ratio is at least 4.
     """
-    kap = basis.kernel.kappa
+    kap = kernel.kappa
     lam0 = math.sqrt(2.0 / (1.0 + kap + math.sqrt(1.0 + 2.0 * kap)))
     return lam0 * 0.5**j, 0.5
 
@@ -117,8 +108,12 @@ def _hermite_functions(y: np.ndarray, jmax: int) -> np.ndarray:
     return out
 
 
-def _gaussian_factor(kernel: KernelSpec, z: np.ndarray) -> np.ndarray:
-    """exp(a z^2) with an overflow guard."""
+def _psi_parts(kernel: KernelSpec, z: np.ndarray, jmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """h_0..h_jmax at sqrt(2c) z, shape (jmax+1, len(z)), and the prefactor.
+
+    psi_j(z) = prefactor(z) * h_j(sqrt(2c) z), with the prefactor
+    (c/a)^{1/4} pi^{1/4} exp(a z^2); exp(a z^2) is guarded against overflow.
+    """
     arg = kernel.a * z**2
     if np.any(arg > _EXP_ARG_MAX):
         zbad = float(np.asarray(z).ravel()[int(np.argmax(arg))])
@@ -126,10 +121,11 @@ def _gaussian_factor(kernel: KernelSpec, z: np.ndarray) -> np.ndarray:
             f"eigenfunction evaluation overflows at z={zbad:g} "
             f"(a*z^2={float(np.max(arg)):g} exceeds {_EXP_ARG_MAX:g})"
         )
-    return np.exp(arg)
+    h = _hermite_functions(math.sqrt(2.0 * kernel.c) * z, jmax)
+    return h, (kernel.c / kernel.a) ** 0.25 * math.pi**0.25 * np.exp(arg)
 
 
-def eigenfunction(basis: SpectralBasis, j: int, z) -> float | np.ndarray:
+def eigenfunction(kernel: KernelSpec, j: int, z) -> float | np.ndarray:
     """j-th eigenfunction psi_j(z), stable for all reachable j.
 
     Uses psi_j(z) = (c/a)^{1/4} pi^{1/4} exp(a z^2) h_j(sqrt(2c) z) where h_j
@@ -138,14 +134,12 @@ def eigenfunction(basis: SpectralBasis, j: int, z) -> float | np.ndarray:
     """
     if j < 0:
         raise DomainError(f"eigenfunction index must be >= 0, got {j}")
-    k = basis.kernel
-    zarr = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    h = _hermite_functions(math.sqrt(2.0 * k.c) * zarr, j)[j]
-    vals = (k.c / k.a) ** 0.25 * math.pi**0.25 * _gaussian_factor(k, zarr) * h
+    h, pref = _psi_parts(kernel, np.atleast_1d(np.asarray(z, dtype=np.float64)), j)
+    vals = pref * h[j]
     return float(vals[0]) if np.isscalar(z) or np.ndim(z) == 0 else vals
 
 
-def feature_coords(basis: SpectralBasis, z, d_test: int) -> np.ndarray:
+def feature_coords(kernel: KernelSpec, z, d_test: int) -> np.ndarray:
     """Coordinates (sqrt(lambda_j) psi_j(z))_{j<d_test} of the truncated embedding.
 
     In these coordinates the Euclidean inner product of two embedded points
@@ -156,11 +150,8 @@ def feature_coords(basis: SpectralBasis, z, d_test: int) -> np.ndarray:
     """
     if d_test < 1:
         raise DomainError(f"d_test must be >= 1, got {d_test}")
-    k = basis.kernel
-    zarr = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    h = _hermite_functions(math.sqrt(2.0 * k.c) * zarr, d_test - 1)  # (d_test, n)
-    pref = (k.c / k.a) ** 0.25 * math.pi**0.25 * _gaussian_factor(k, zarr)
-    coords = (np.sqrt(eigenvalues(basis, d_test))[:, None] * h * pref[None, :]).T
+    h, pref = _psi_parts(kernel, np.atleast_1d(np.asarray(z, dtype=np.float64)), d_test - 1)
+    coords = (np.sqrt(eigenvalues(kernel, d_test))[:, None] * h * pref[None, :]).T
     if np.isscalar(z) or np.ndim(z) == 0:
         return coords[0]
     return coords
@@ -171,12 +162,8 @@ class SpectrumReport:
     """Quadrature verification of orthonormality and the eigen-relations."""
 
     j_max: int
-    quad_nodes: int
     orthonormality_error: float  # max |G - I| over the (j_max x j_max) Gram matrix
-    gram_asymmetry: float        # max |G - G^T|; zero by construction
     eigen_residuals: np.ndarray  # sup_z' |T_K psi_j(z') - lambda_j psi_j(z')| per j
-    zprime_grid: np.ndarray
-    lambdas: np.ndarray
 
 
 # quadrature defaults: orthonormality needs >= (j+k)/2 + 1 nodes for exactness,
@@ -185,7 +172,7 @@ _RESIDUAL_QUAD_NODES = 128
 _ZPRIME_GRID_POINTS = 25
 
 
-def check_spectrum(basis: SpectralBasis, j_max: int, quad_nodes: int | None = None) -> SpectrumReport:
+def check_spectrum(kernel: KernelSpec, j_max: int, quad_nodes: int | None = None) -> SpectrumReport:
     """Verify the first j_max eigenpairs by Gauss-Hermite quadrature.
 
     The Gram matrix G_{jk} = int psi_j psi_k dm is computed after the
@@ -202,46 +189,34 @@ def check_spectrum(basis: SpectralBasis, j_max: int, quad_nodes: int | None = No
         raise DomainError(
             f"quad_nodes={quad_nodes} too small for j_max={j_max}; need >= {j_max + 1}"
         )
-    k = basis.kernel
 
-    # orthonormality: G = S S^T with S_ji = h_j(t_i) sqrt(w_i e^{t_i^2}),
-    # symmetrized so max|G - G^T| is exactly zero
+    # orthonormality: G = S S^T with S_ji = h_j(t_i) sqrt(w_i e^{t_i^2}), symmetrized
     t, wq = hermgauss(quad_nodes)
     h = _hermite_functions(t, j_max - 1)
     scaled = h * np.sqrt(wq * np.exp(t**2))[None, :]
     gram = scaled @ scaled.T
     gram = 0.5 * (gram + gram.T)
     orth_err = float(np.max(np.abs(gram - np.eye(j_max))))
-    asym = float(np.max(np.abs(gram - gram.T)))
 
     # eigen-relations: integrate against the base measure via t = sqrt(2a) z
     tn, wn = hermgauss(_RESIDUAL_QUAD_NODES)
-    zn = tn / math.sqrt(2.0 * k.a)
-    sigma = math.sqrt(k.sigma2)
+    zn = tn / math.sqrt(2.0 * kernel.a)
+    sigma = math.sqrt(kernel.sigma2)
     zp = np.linspace(-3.0 * sigma, 3.0 * sigma, _ZPRIME_GRID_POINTS)
-    psi_nodes = _psi_matrix(basis, j_max, zn)     # (j_max, nodes)
-    psi_zp = _psi_matrix(basis, j_max, zp)        # (j_max, grid)
-    kern = k.kernel(zn[:, None], zp[None, :])     # (nodes, grid)
+    h_nodes, pref_nodes = _psi_parts(kernel, zn, j_max - 1)
+    h_zp, pref_zp = _psi_parts(kernel, zp, j_max - 1)
+    psi_nodes = pref_nodes[None, :] * h_nodes          # (j_max, nodes)
+    psi_zp = pref_zp[None, :] * h_zp                   # (j_max, grid)
+    kern = kernel.kernel(zn[:, None], zp[None, :])     # (nodes, grid)
     integrals = (psi_nodes * wn[None, :]) @ kern / math.sqrt(math.pi)
-    lams = eigenvalues(basis, j_max)
+    lams = eigenvalues(kernel, j_max)
     resid = np.max(np.abs(integrals - lams[:, None] * psi_zp), axis=1)
 
     return SpectrumReport(
         j_max=j_max,
-        quad_nodes=quad_nodes,
         orthonormality_error=orth_err,
-        gram_asymmetry=asym,
         eigen_residuals=resid,
-        zprime_grid=zp,
-        lambdas=lams,
     )
-
-
-def _psi_matrix(basis: SpectralBasis, j_max: int, z: np.ndarray) -> np.ndarray:
-    """psi_0..psi_{j_max-1} at the points z, shape (j_max, len(z))."""
-    k = basis.kernel
-    h = _hermite_functions(math.sqrt(2.0 * k.c) * z, j_max - 1)
-    return (k.c / k.a) ** 0.25 * math.pi**0.25 * _gaussian_factor(k, z)[None, :] * h
 
 
 @dataclass(frozen=True)
@@ -250,7 +225,6 @@ class AssumptionReport:
 
     kappa: float
     exponential_decay: bool  # kappa >= 4 certifies lambda_j <= (1/2) e^{-c j}
-    decay_exponent: float    # gamma in the exponential-decay certificate
     s_min: float             # moment order must exceed 2p (exclusive)
     s_max: float             # and stay below 2 sigma2 / eta2 (exclusive)
     admissible: bool         # the open interval (s_min, s_max) is nonempty
@@ -267,7 +241,6 @@ def check_assumptions(kernel: KernelSpec, eta2: float, p: float) -> AssumptionRe
     return AssumptionReport(
         kappa=kernel.kappa,
         exponential_decay=kernel.kappa >= 4.0,
-        decay_exponent=1.0,
         s_min=s_min,
         s_max=s_max,
         admissible=s_max > s_min,

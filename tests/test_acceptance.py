@@ -31,7 +31,6 @@ from msw import (
     ParetoProduct,
     RkhsPushforward,
     RngStream,
-    SpectralBasis,
 )
 from msw.harness import (
     EXPERIMENT_OPTIMIZER,
@@ -196,11 +195,11 @@ def test_criterion_05_pareto_rate_reproduction():
 def test_criterion_06_gaussian_kernel_spectrum():
     start = time.perf_counter()
     with criterion(6, "closed-form eigenvalues and the decay sandwich"):
-        dyadic = SpectralBasis(KernelSpec(0.25, math.sqrt(0.125)))
+        dyadic = KernelSpec(0.25, math.sqrt(0.125))
         for j in range(51):
             assert msw.eigenvalue(dyadic, j) == pytest.approx(0.5 ** (j + 1), rel=1e-12), j
-        steep = SpectralBasis(KernelSpec(4.0, 1.0))
-        assert steep.kernel.kappa == pytest.approx(8.0, rel=1e-14)
+        steep = KernelSpec(4.0, 1.0)
+        assert steep.kappa == pytest.approx(8.0, rel=1e-14)
         for j in range(201):
             lo, hi = msw.eigenvalue_bounds(steep, j)
             lam = msw.eigenvalue(steep, j)
@@ -212,21 +211,20 @@ def test_criterion_07_spectral_verification():
     start = time.perf_counter()
     with criterion(7, "orthonormality, eigen-residuals, Mercer weight convention"):
         for spec in (KernelSpec(0.25, math.sqrt(0.125)), KernelSpec(4.0, 1.0)):
-            basis30 = SpectralBasis(spec)
-            report = msw.check_spectrum(basis30, 30)
+            report = msw.check_spectrum(spec, 30)
             assert report.orthonormality_error <= 1e-8, spec
-            lam0 = msw.eigenvalue(basis30, 0)
-            resid = msw.check_spectrum(basis30, 16).eigen_residuals
+            lam0 = msw.eigenvalue(spec, 0)
+            resid = msw.check_spectrum(spec, 16).eigen_residuals
             assert np.all(resid <= 1e-6 * lam0), spec
 
             sigma = math.sqrt(spec.sigma2)
             grid = np.linspace(-3.0 * sigma, 3.0 * sigma, 9)
-            coords = msw.feature_coords(basis30, grid, 60)
+            coords = msw.feature_coords(spec, grid, 60)
             exact = spec.kernel(grid[:, None], grid[None, :])
             lam_weighted = coords @ coords.T
             assert np.max(np.abs(lam_weighted - exact)) <= 1e-8, spec
             # sqrt(lambda) weighting must *fail* to reproduce the kernel
-            lams = msw.eigenvalues(basis30, 60)
+            lams = msw.eigenvalues(spec, 60)
             psi = coords / np.sqrt(lams)[None, :]
             sqrt_weighted = (psi * lams[None, :] ** 0.25) @ (psi * lams[None, :] ** 0.25).T
             assert np.max(np.abs(sqrt_weighted - exact)) > 1e-3, spec

@@ -51,17 +51,18 @@ d = 2
 n_grid = 10, 20, 40
 mc_runs = 3
 master_seed = 7
-include_seeded_starts = true
+tol = 1e-7
 """
     )
     mapping = parse_config_file(cfg)
     assert mapping["experiment"] == "rate_two_sample"
     assert mapping["n_grid"] == [10, 20, 40]
-    assert mapping["include_seeded_starts"] is True
+    assert mapping["tol"] == 1e-7
     config, eps = config_from_mapping(mapping)
     assert isinstance(config.spec, ParetoProduct)
     assert config.n_grid == (10, 20, 40)
     assert config.mc_runs == 3
+    assert config.optimizer.tol == 1e-7
     assert len(eps) > 0
 
 
@@ -164,6 +165,11 @@ def test_exit_codes(tmp_path, capsys):
     typo = tmp_path / "typo.cfg"
     typo.write_text(good.read_text() + "restrats = 3\n")
     assert main(["rate", "--config", str(typo), "--out", str(tmp_path / "o.csv")]) == 2
+    # removed optimizer knob -> config error as an unknown key
+    knob = tmp_path / "knob.cfg"
+    knob.write_text(good.read_text() + "step_decay = 0.5\n")
+    assert main(["rate", "--config", str(knob), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "unknown config keys: step_decay" in capsys.readouterr().err
     # ragged sample file -> config error naming the short line
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("x1,x2\n0.1,0.2\n0.3\n0.4,0.5\n")

@@ -21,10 +21,13 @@ from msw import (
     wasserstein_full,
 )
 from msw.maxsliced import (
+    _SEED_GRID,
     _AnalyticObjective,
     _argsort_columns,
     _normalize_rows,
     _TwoSampleObjective,
+    _value_on_grid,
+    grid_directions,
 )
 
 FAST = OptimizerOpts(restarts=8, max_iters=120)
@@ -173,7 +176,7 @@ def test_msw_errors():
     with pytest.raises(DomainError):
         OptimizerOpts(restarts=0)
     with pytest.raises(DomainError):
-        OptimizerOpts(step_decay=1.5)
+        OptimizerOpts(tol=0.0)
 
 
 def test_vs_analytic_point_at_mean_isotropic():
@@ -358,3 +361,20 @@ def test_grid_oracle_memory_follows_the_larger_sample():
             tracemalloc.stop()
     assert values[0] == pytest.approx(values[1], rel=1e-12)
     assert max(peaks) <= 1.5 * min(peaks)
+
+
+def test_analytic_seed_grid_memory_follows_the_quadrature_nodes():
+    # each direction costs n * _OPT_NODES elements, not n: at d = 3 and
+    # n = 1600 the 1024-direction seed grid must not be one 312 MiB chunk
+    rng = np.random.default_rng(98)
+    x = rng.normal(size=(1600, 3))
+    obj = _AnalyticObjective(x, Gaussian(np.zeros(3), np.eye(3)), 2.0)
+    dirs = grid_directions(3, _SEED_GRID[3])
+    tracemalloc.start()
+    try:
+        vals = _value_on_grid(obj, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    assert np.array_equal(vals[-64:], obj.value(dirs[-64:]))
