@@ -14,6 +14,16 @@ is finite once the s-th moment is, for s > 2p. A harness RateCurve holds
 Monte Carlo estimates of E[W̄_p], so a curve is compared with the bound to
 the power 1/p (Jensen: E[W̄_p] <= E[W̄_p^p]^(1/p)), which decays like
 n^(-1/(2p)) up to logarithms.
+
+Provenance: the repository holds only the abstract of arXiv:2405.13153, so no
+formula here has been checked against the paper's theorem statements.
+- expectation_bound_finite: reconstructed from the abstract; theorem numbers unchecked.
+- expectation_bound_exp_decay: reconstructed from the abstract; theorem numbers unchecked.
+- expectation_bound_poly_decay: reconstructed from the abstract; theorem numbers unchecked.
+- concentration_bound "finite", "exp_decay" and "poly_decay": reconstructed from
+  the abstract; theorem numbers unchecked.
+- concentration_bound "ratio_finite" (msw.ratio.ratio_tail_bound), "ratio_exp"
+  and "ratio_poly": reconstructed from the abstract; theorem numbers unchecked.
 """
 from __future__ import annotations
 

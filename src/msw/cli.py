@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -45,9 +46,21 @@ def _parse_scalar(token: str):
             return cast(token)
         except ValueError:
             pass
-    if token.lower() in ("true", "false"):
-        return token.lower() == "true"
     return token
+
+
+def _int(key: str, value) -> int:
+    """An integer config value; anything else, a boolean included, is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _float(key: str, value) -> float:
+    """A real config value; anything else, a boolean included, is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _split_top_level(value: str) -> list[str]:
@@ -70,8 +83,8 @@ def _split_top_level(value: str) -> list[str]:
 def parse_config_file(path) -> dict:
     """Read a `key = value` config file; '#' starts a comment.
 
-    Comma-separated values become lists; numbers and booleans are converted,
-    everything else stays a string.
+    Comma-separated values become lists; integer and float tokens are
+    converted, everything else stays a string.
     """
     mapping: dict = {}
     try:
@@ -116,33 +129,35 @@ def _build_spec(mapping: dict):
     if dist == "gaussian":
         mean_raw = mapping.get("mean", 0.0)
         if isinstance(mean_raw, list):
-            mean = np.asarray(mean_raw, dtype=np.float64)
+            mean = np.asarray([_float("mean", v) for v in mean_raw])
             d = mean.size
         else:
-            d = int(mapping.get("d", 2))
-            mean = np.full(d, float(mean_raw))
+            d = _int("d", mapping.get("d", 2))
+            mean = np.full(d, _float("mean", mean_raw))
         return Gaussian(mean, _build_covariance(mapping.get("covariance"), d))
     if dist == "pareto_product":
         if "shape" not in mapping:
             raise ConfigError("pareto_product requires key 'shape'")
-        return ParetoProduct(float(mapping["shape"]), int(mapping.get("d", 2)))
+        return ParetoProduct(_float("shape", mapping["shape"]), _int("d", mapping.get("d", 2)))
     if dist == "rkhs_pushforward":
         for key in ("sigma2", "w", "eta2"):
             if key not in mapping:
                 raise ConfigError(f"rkhs_pushforward requires key {key!r}")
-        kernel = KernelSpec(float(mapping["sigma2"]), float(mapping["w"]))
-        d_test = mapping.get("d_test")
-        if d_test is None:
-            lst = mapping.get("d_test_list")
-            if lst is None:
-                raise ConfigError("rkhs_pushforward requires 'd_test' or 'd_test_list'")
-            d_test = _as_list(lst)[0]
-        return RkhsPushforward(kernel, float(mapping["eta2"]), int(d_test))
+        kernel = KernelSpec(_float("sigma2", mapping["sigma2"]), _float("w", mapping["w"]))
+        if "d_test" in mapping:
+            d_test = _int("d_test", mapping["d_test"])
+        elif "d_test_list" in mapping:
+            d_test = _int("d_test_list", _as_list(mapping["d_test_list"])[0])
+        else:
+            raise ConfigError("rkhs_pushforward requires 'd_test' or 'd_test_list'")
+        return RkhsPushforward(kernel, _float("eta2", mapping["eta2"]), d_test)
     raise ConfigError(f"unknown distribution {dist!r}")
 
 
 def _build_optimizer(mapping: dict) -> OptimizerOpts:
-    overrides = {k: mapping[k] for k in _OPTIMIZER_KEYS if k in mapping}
+    overrides = {
+        k: (_float if k == "tol" else _int)(k, mapping[k]) for k in _OPTIMIZER_KEYS if k in mapping
+    }
     if not overrides:
         return EXPERIMENT_OPTIMIZER
     return dataclasses.replace(EXPERIMENT_OPTIMIZER, **overrides)
@@ -154,11 +169,12 @@ def _build_overlay(mapping: dict, p: float, spec) -> Overlay | None:
         return None
     params = BoundParams(
         p=p,
-        s=float(mapping.get("overlay_s", 2 * p + 1)),
+        s=_float("overlay_s", mapping.get("overlay_s", 2 * p + 1)),
         d=getattr(spec, "dim", None),
-        gamma=float(mapping["overlay_gamma"]) if "overlay_gamma" in mapping else None,
-        c_user=float(mapping.get("overlay_c", 1.0)),
-        C_user=float(mapping.get("overlay_C", 1.0)),
+        gamma=(_float("overlay_gamma", mapping["overlay_gamma"])
+               if "overlay_gamma" in mapping else None),
+        c_user=_float("overlay_c", mapping.get("overlay_c", 1.0)),
+        C_user=_float("overlay_C", mapping.get("overlay_C", 1.0)),
     )
     return Overlay(kind=str(kind), params=params)
 
@@ -171,23 +187,24 @@ def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, .
     if "experiment" not in mapping:
         raise ConfigError("config must set 'experiment'")
     spec = _build_spec(mapping)
-    p = float(mapping.get("p", 2.0))
-    n_grid = tuple(int(n) for n in _as_list(mapping.get("n_grid", list(DEFAULT_N_GRID))))
+    p = _float("p", mapping.get("p", 2.0))
+    n_grid = tuple(_int("n_grid", n) for n in _as_list(mapping.get("n_grid", list(DEFAULT_N_GRID))))
     d_test_list = mapping.get("d_test_list")
     if d_test_list is not None:
-        d_test_list = tuple(int(d) for d in _as_list(d_test_list))
+        d_test_list = tuple(_int("d_test_list", d) for d in _as_list(d_test_list))
     config = ExperimentConfig(
         experiment=str(mapping["experiment"]),
         spec=spec,
         p=p,
         n_grid=n_grid,
-        mc_runs=int(mapping.get("mc_runs", 100)),
-        master_seed=int(mapping.get("master_seed", 0)),
+        mc_runs=_int("mc_runs", mapping.get("mc_runs", 100)),
+        master_seed=_int("master_seed", mapping.get("master_seed", 0)),
         optimizer=_build_optimizer(mapping),
         d_test_list=d_test_list,
         overlay=_build_overlay(mapping, p, spec),
     )
-    eps_grid = tuple(float(e) for e in _as_list(mapping.get("eps_grid", list(DEFAULT_EPS_GRID))))
+    eps_grid = mapping.get("eps_grid", list(DEFAULT_EPS_GRID))
+    eps_grid = tuple(_float("eps_grid", e) for e in _as_list(eps_grid))
     return config, eps_grid
 
 

@@ -37,8 +37,9 @@ from .ot1d import (
 
 # coarse direction grids used only to seed the local search in low dimension
 _SEED_GRID = {2: 256, 3: 1024}
-# quadrature order for the analytic objective during iteration; the final
-# certificate is recomputed at the full default order of w1d_vs_cdf
+# quadrature order for the analytic objective during iteration, used only at
+# p != 2 (p = 2 has a closed form); the final certificate is recomputed at the
+# full default order of w1d_vs_cdf
 _OPT_NODES = 8
 # first step length of the ascent; step k is _STEP0 / sqrt(k + 1)
 _STEP0 = 0.1
@@ -189,56 +190,97 @@ class _TwoSampleObjective:
 class _AnalyticObjective:
     """theta -> W_p^p between projected samples and the projected Gaussian law.
 
-    The standard-normal quantiles at the per-block quadrature nodes depend
-    only on the sample size, so they are precomputed once; each direction then
-    costs one projection, one sort and a weighted power sum. value sorts the
-    values only; value_and_grad sorts with _argsort_columns, where a direction
-    whose projections tie is sorted once more, stably, so ties keep their
-    index order.
+    At p = 2 the value is exact in closed form. With x~ the sample sorted
+    along theta, m = <theta, mean>, s^2 = theta^T Sigma theta, c_i = x~_i - m,
+    z_i = Phi^-1(i/n) and g_i = phi(z_{i-1}) - phi(z_i) = int Phi^-1 over block
+    i (phi(z_0) = phi(z_n) = 0),
+
+        W_2^2 = mean(c^2) - 2 s sum_i g_i c_i + s^2,
+
+    so each direction costs one projection, one sort and one dot product with
+    g, which depends on n only. Quadrature serves p != 2 only: the standard
+    normal quantiles at `nodes` Gauss-Legendre nodes per block depend on n
+    only, so they are precomputed once, and each direction costs a weighted
+    power sum over them.
+
+    value sorts the values only; value_and_grad sorts with _argsort_columns,
+    where a direction whose projections tie is sorted once more, stably, so
+    ties keep their index order.
     """
 
     def __init__(self, x: np.ndarray, spec: Gaussian, p: float, nodes: int = _OPT_NODES):
         self.x, self.p = x, p
         self.mean, self.cov = spec.mean, spec.cov
         n = x.shape[0]
-        self.per_direction = n * nodes
-        lo, hi, _ = _integration_cells(n, None)
-        t, v = _leggauss(nodes)
-        u = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t[None, :]
-        self.wq = 0.5 * (hi - lo)[:, None] * v[None, :]  # (n, K)
-        self.z = ndtri(u)
+        if p == 2.0:
+            self.per_direction = n
+            pdf = np.zeros(n + 1)
+            z = ndtri(np.arange(1, n) / n)
+            pdf[1:-1] = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+            self.g = pdf[:-1] - pdf[1:]
+        else:
+            self.per_direction = n * nodes
+            lo, hi, _ = _integration_cells(n, None)
+            t, v = _leggauss(nodes)
+            u = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t[None, :]
+            self.wq = 0.5 * (hi - lo)[:, None] * v[None, :]  # (n, K)
+            self.z = ndtri(u)
+
+    def _scale(self, th: np.ndarray):
+        """<theta, mean>, Sigma theta and the projected sd s, per row of th."""
+        sig_th = th @ self.cov
+        s = np.sqrt(np.maximum(np.einsum("rd,rd->r", sig_th, th), 0.0))
+        return th @ self.mean, sig_th, s
+
+    def _closed_form(self, sx: np.ndarray, th: np.ndarray):
+        """p = 2: the exact W_2^2 per column of the sorted projections sx."""
+        mth, sig_th, s = self._scale(th)
+        c = sx - mth
+        b = self.g @ c
+        vals = np.maximum(np.mean(c * c, axis=0) - 2.0 * s * b + s * s, 0.0)
+        return vals, c, b, sig_th, s
 
     def _delta(self, sx: np.ndarray, th: np.ndarray):
         """Sigma theta, the projected sd s, and sx minus the quantiles at the nodes."""
-        mth = th @ self.mean
-        sig_th = th @ self.cov
-        s = np.sqrt(np.maximum(np.einsum("rd,rd->r", sig_th, th), 0.0))
+        mth, sig_th, s = self._scale(th)
         delta = sx[:, None, :] - mth[None, None, :] - s[None, None, :] * self.z[:, :, None]
         return sig_th, s, delta
 
     def value(self, th: np.ndarray) -> np.ndarray:
-        *_, delta = self._delta(np.sort(self.x @ th.T, axis=0), th)
+        sx = np.sort(self.x @ th.T, axis=0)
+        if self.p == 2.0:
+            return self._closed_form(sx, th)[0]
+        *_, delta = self._delta(sx, th)
         return np.einsum("nk,nkr->r", self.wq, np.abs(delta) ** self.p)
 
     def value_and_grad(self, th: np.ndarray):
         ox, sx = _argsort_columns(self.x @ th.T)
-        sig_th, s, delta = self._delta(sx, th)
-        absd = np.abs(delta)
-        vals = np.einsum("nk,nkr->r", self.wq, absd**self.p)
-        coef = self.p * self.wq[:, :, None] * np.sign(delta) * absd ** (self.p - 1.0)
-        per_point = coef.sum(axis=1)       # (n, R)
-        total = per_point.sum(axis=0)      # (R,)
-        z_weighted = np.einsum("nkr,nk->r", coef, self.z)
+        if self.p == 2.0:
+            vals, c, b, sig_th, s = self._closed_form(sx, th)
+            per_point = (2.0 / sx.shape[0]) * c - 2.0 * s * self.g[:, None]
+            total = per_point.sum(axis=0)
+            s_coef = 2.0 * (s - b)
+        else:
+            sig_th, s, delta = self._delta(sx, th)
+            absd = np.abs(delta)
+            vals = np.einsum("nk,nkr->r", self.wq, absd**self.p)
+            coef = self.p * self.wq[:, :, None] * np.sign(delta) * absd ** (self.p - 1.0)
+            per_point = coef.sum(axis=1)       # (n, R)
+            total = per_point.sum(axis=0)      # (R,)
+            s_coef = -np.einsum("nkr,nk->r", coef, self.z)
         ax = np.empty_like(per_point)
         np.put_along_axis(ax, ox, per_point, axis=0)
         grads = (
             ax.T @ self.x
             - total[:, None] * self.mean[None, :]
-            - (z_weighted / np.maximum(s, 1e-150))[:, None] * sig_th
+            + (s_coef / np.maximum(s, 1e-150))[:, None] * sig_th
         )
         return vals, grads
 
     def certify(self, theta: np.ndarray) -> float:
+        if self.p == 2.0:
+            vals = self._closed_form(project(self.x, theta)[:, None], theta[None, :])[0]
+            return math.sqrt(vals[0])
         law = gaussian_law(float(theta @ self.mean), float(theta @ self.cov @ theta))
         return w1d_vs_cdf(project(self.x, theta), law, self.p)
 
@@ -346,7 +388,9 @@ def msw_vs_analytic(xs, spec: Gaussian, p: float, opts: OptimizerOpts | None = N
     """Max-sliced W_p between an empirical measure and a Gaussian law.
 
     Only Gaussian specs are supported: the projected law along theta is then
-    N(<mean, theta>, theta^T Sigma theta) in closed form. The value at the
+    N(<mean, theta>, theta^T Sigma theta) in closed form. At p = 2 the
+    distance along a direction is exact in closed form, in the search and in
+    the certificate; quadrature serves p != 2 only, and there the value at the
     returned direction is recomputed with full quadrature order.
     """
     if not isinstance(spec, Gaussian):
@@ -359,11 +403,10 @@ def msw_vs_analytic(xs, spec: Gaussian, p: float, opts: OptimizerOpts | None = N
     opts = opts or OptimizerOpts()
     rng = rng or RngStream(0)
     d = x.shape[1]
-    if d == 1:
-        law = gaussian_law(float(spec.mean[0]), float(spec.cov[0, 0]))
-        value = w1d_vs_cdf(np.sort(x[:, 0]), law, p)
-        return MswResult(value, np.array([1.0]), restarts_used=0, iterations=0)
     objective = _AnalyticObjective(x, spec, p)
+    if d == 1:
+        theta = np.array([1.0])
+        return MswResult(objective.certify(theta), theta, restarts_used=0, iterations=0)
     _, cov_axes = np.linalg.eigh(spec.cov)
     extra = cov_axes[:, : -min(3, d) - 1 : -1].T
     return _run_search(objective, x, x.mean(0) - spec.mean, extra, opts, rng)

@@ -169,8 +169,8 @@ def test_criterion_04_gaussian_rate_reproduction():
         assert all(_SLOPE_LOWER <= s <= -0.15 for s in slopes), details
         # Pointwise floor: x̄ - m ~ N(0, I_d / n), so E||x̄ - m|| = E||Z_d|| / sqrt(n).
         # The search always starts from the mean difference and keeps the best
-        # value seen, so every trial value clears its own ||x̄ - m|| (up to the
-        # quadrature of the certificate). The Monte Carlo mean thus clears the
+        # value seen, so every trial value clears its own ||x̄ - m|| (the p = 2
+        # certificate is exact). The Monte Carlo mean thus clears the
         # average of those norms, which scatters about E||Z_d|| / sqrt(n).
         for d, curve in curves.items():
             floor = _expected_gaussian_norm(d) / np.sqrt(curve.n)

@@ -170,6 +170,13 @@ def test_exit_codes(tmp_path, capsys):
     knob.write_text(good.read_text() + "step_decay = 0.5\n")
     assert main(["rate", "--config", str(knob), "--out", str(tmp_path / "o.csv")]) == 2
     assert "unknown config keys: step_decay" in capsys.readouterr().err
+    # non-integer or boolean values of integer keys -> config error naming the key
+    for line, key in (("max_iters = 2.5", "max_iters"), ("restarts = true", "restarts"),
+                      ("mc_runs = 2.5", "mc_runs"), ("n_grid = 8.5, 16", "n_grid")):
+        typed = tmp_path / "typed.cfg"
+        typed.write_text(good.read_text() + line + "\n")
+        assert main(["rate", "--config", str(typed), "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
     # ragged sample file -> config error naming the short line
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("x1,x2\n0.1,0.2\n0.3\n0.4,0.5\n")

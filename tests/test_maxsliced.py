@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy.special import ndtri
 
 from msw import (
     DomainError,
@@ -334,18 +336,20 @@ def test_two_sample_objective_matches_stable_sort_reference(n, m, d, decimals):
 
 @pytest.mark.parametrize("n,d,decimals", [(200, 3, None), (1600, 8, None), (300, 2, 1)])
 def test_analytic_objective_matches_stable_sort_reference(n, d, decimals):
+    # the quadrature path, which serves p != 2
     rng = np.random.default_rng(n + d)
     x = rng.normal(size=(n, d))
     if decimals is not None:
         x = np.round(x, decimals)
     spec = Gaussian(np.full(d, 0.2), np.diag(np.linspace(0.5, 2.0, d)))
     th = _directions(rng, 13, d)
-    obj = _AnalyticObjective(x, spec, 2.0)
-    vals, grads = obj.value_and_grad(th)
-    want_vals, want_grads = _stable_analytic_value_and_grad(obj, th)
-    assert np.array_equal(vals, want_vals)
-    assert np.array_equal(grads, want_grads)
-    assert np.array_equal(obj.value(th), want_vals)
+    for p in (1.0, 3.0):
+        obj = _AnalyticObjective(x, spec, p)
+        vals, grads = obj.value_and_grad(th)
+        want_vals, want_grads = _stable_analytic_value_and_grad(obj, th)
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(grads, want_grads)
+        assert np.array_equal(obj.value(th), want_vals)
 
 
 def test_grid_oracle_memory_follows_the_larger_sample():
@@ -364,11 +368,11 @@ def test_grid_oracle_memory_follows_the_larger_sample():
 
 
 def test_analytic_seed_grid_memory_follows_the_quadrature_nodes():
-    # each direction costs n * _OPT_NODES elements, not n: at d = 3 and
-    # n = 1600 the 1024-direction seed grid must not be one 312 MiB chunk
+    # at p != 2 each direction costs n * _OPT_NODES elements, not n: at d = 3
+    # and n = 1600 the 1024-direction seed grid must not be one 312 MiB chunk
     rng = np.random.default_rng(98)
     x = rng.normal(size=(1600, 3))
-    obj = _AnalyticObjective(x, Gaussian(np.zeros(3), np.eye(3)), 2.0)
+    obj = _AnalyticObjective(x, Gaussian(np.zeros(3), np.eye(3)), 3.0)
     dirs = grid_directions(3, _SEED_GRID[3])
     tracemalloc.start()
     try:
@@ -378,3 +382,118 @@ def test_analytic_seed_grid_memory_follows_the_quadrature_nodes():
         tracemalloc.stop()
     assert peak < 128 * 2**20
     assert np.array_equal(vals[-64:], obj.value(dirs[-64:]))
+
+
+# A non-zero mean and a non-identity covariance for the closed-form tests.
+_LAW = Gaussian(
+    np.array([0.3, -0.2, 0.1]),
+    np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]]),
+)
+
+
+def _quad_w2_squared(sx, m, s):
+    """W_2^2 between sorted values and N(m, s^2) by adaptive quadrature.
+
+    Block i of u is mapped to z = Phi^-1(u) in (z_{i-1}, z_i], so each
+    integrand (sx_i - m - s z)^2 phi(z) is smooth and the end blocks run to
+    infinity instead of ending in a log singularity.
+    """
+    n = sx.size
+    edges = np.concatenate([[-np.inf], ndtri(np.arange(1, n) / n), [np.inf]])
+    pdf = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)  # noqa: E731
+    return sum(
+        integrate.quad(lambda z: (sx[i] - m - s * z) ** 2 * pdf(z), edges[i], edges[i + 1],
+                       epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 400])
+def test_analytic_closed_form_matches_quad(n):
+    rng = np.random.default_rng(400 + n)
+    x = rng.normal(size=(n, 3))
+    th = _directions(rng, 4, 3)
+    vals = _AnalyticObjective(x, _LAW, 2.0).value(th)
+    for r, t in enumerate(th):
+        want = _quad_w2_squared(np.sort(x @ t), t @ _LAW.mean, math.sqrt(t @ _LAW.cov @ t))
+        assert vals[r] == pytest.approx(want, rel=1e-12)
+
+
+def test_analytic_closed_form_gradient_matches_central_differences():
+    rng = np.random.default_rng(402)
+    x = rng.normal(size=(50, 3))
+    th = _directions(rng, 6, 3)
+    obj = _AnalyticObjective(x, _LAW, 2.0)
+    _, grads = obj.value_and_grad(th)
+    h = 1e-6
+    for r, t in enumerate(th):
+        steps = t + h * np.vstack([np.eye(3), -np.eye(3)])
+        v = obj.value(steps)
+        central = (v[:3] - v[3:]) / (2.0 * h)
+        np.testing.assert_allclose(grads[r], central, rtol=0.0, atol=1e-8)
+
+
+def test_analytic_closed_form_value_matches_value_and_grad_under_ties():
+    # rounded data tie along the first axis, which _directions includes
+    rng = np.random.default_rng(403)
+    x = np.round(rng.normal(size=(300, 3)), 1)
+    th = _directions(rng, 13, 3)
+    obj = _AnalyticObjective(x, _LAW, 2.0)
+    vals, _ = obj.value_and_grad(th)
+    assert np.array_equal(obj.value(th), vals)
+
+
+def test_analytic_closed_form_certificate_squares_to_the_value():
+    rng = np.random.default_rng(404)
+    x = rng.normal(size=(200, 3))
+    obj = _AnalyticObjective(x, _LAW, 2.0)
+    for t in _directions(rng, 5, 3):
+        assert obj.certify(t) ** 2 == pytest.approx(obj.value(t[None])[0], rel=1e-12)
+
+
+# Max-sliced properties that need no search quality: the mean-difference start
+# is always kept, and any direction bounds the full distance from below. The
+# absolute 1e-12 matches the norm below which the mean difference is no start.
+_COORD = st.floats(min_value=-10.0, max_value=10.0)
+
+
+@st.composite
+def _point_clouds(draw, equal_sizes=False):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 64))
+    m = n if equal_sizes else draw(st.integers(1, 64))
+    x = draw(st.lists(st.lists(_COORD, min_size=d, max_size=d), min_size=n, max_size=n))
+    y = draw(st.lists(st.lists(_COORD, min_size=d, max_size=d), min_size=m, max_size=m))
+    return np.array(x), np.array(y)
+
+
+_SHORT = OptimizerOpts(restarts=1, max_iters=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds=_point_clouds(), p=st.sampled_from([1.0, 2.0, 3.0]))
+def test_msw_empirical_clears_the_mean_difference(clouds, p):
+    x, y = clouds
+    floor = float(np.linalg.norm(x.mean(0) - y.mean(0)))
+    value = msw_empirical(x, y, p, _SHORT, RngStream(0)).value
+    assert value >= floor * (1.0 - 1e-12) - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds=_point_clouds(equal_sizes=True), p=st.sampled_from([1.0, 2.0, 3.0]))
+def test_msw_empirical_is_at_most_the_full_distance(clouds, p):
+    x, y = clouds
+    value = msw_empirical(x, y, p, _SHORT, RngStream(0)).value
+    assert value <= wasserstein_full(x, y, p) * (1.0 + 1e-12) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds=_point_clouds(), var=st.lists(st.floats(0.1, 4.0), min_size=4, max_size=4))
+def test_msw_vs_analytic_clears_the_mean_difference_at_p2(clouds, var):
+    # the p = 2 certificate is exact, so no quadrature slack is needed; the
+    # first point of the second cloud serves as the law's mean
+    x, mean = clouds[0], clouds[1][0]
+    spec = Gaussian(mean, np.diag(var[: x.shape[1]]))
+    floor = float(np.linalg.norm(x.mean(0) - mean))
+    value = msw_vs_analytic(x, spec, 2.0, _SHORT, RngStream(0)).value
+    assert value >= floor * (1.0 - 1e-12) - 1e-12
