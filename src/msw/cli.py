@@ -30,13 +30,22 @@ from .rkhs import KernelSpec, check_assumptions, check_spectrum, eigenvalues
 
 DEFAULT_EPS_GRID = tuple(round(0.05 * k, 2) for k in range(1, 25))
 
-_OPTIMIZER_KEYS = ("restarts", "max_iters", "tol")
-# every key config_from_mapping reads; README.md documents the same set
-_CONFIG_KEYS = frozenset((
-    "experiment", "distribution", "d", "mean", "covariance", "shape", "sigma2", "w", "eta2",
-    "d_test", "d_test_list", "p", "n_grid", "mc_runs", "master_seed", "eps_grid",
-    "overlay_kind", "overlay_s", "overlay_gamma", "overlay_c", "overlay_C", *_OPTIMIZER_KEYS,
-))
+# every config key and the kind of its values, a plural kind taking a comma
+# list; README.md documents the same set
+CONFIG_KINDS = {
+    "experiment": "text", "distribution": "text", "covariance": "text", "overlay_kind": "text",
+    "d": "integer", "d_test": "integer", "mc_runs": "integer", "master_seed": "integer",
+    "restarts": "integer", "max_iters": "integer", "n_grid": "integers", "d_test_list": "integers",
+    "p": "number", "shape": "number", "sigma2": "number", "w": "number", "eta2": "number",
+    "overlay_s": "number", "overlay_gamma": "number", "overlay_c": "number", "overlay_C": "number",
+    "tol": "number", "mean": "numbers", "eps_grid": "numbers",
+}
+# kind -> (its name in errors, the types it accepts, the cast applied)
+_KINDS = {
+    "text": ("text", str, str),
+    "integer": ("an integer", numbers.Integral, int),
+    "number": ("a number", numbers.Real, float),
+}
 
 
 def _parse_scalar(token: str):
@@ -49,18 +58,15 @@ def _parse_scalar(token: str):
     return token
 
 
-def _int(key: str, value) -> int:
-    """An integer config value; anything else, a boolean included, is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _float(key: str, value) -> float:
-    """A real config value; anything else, a boolean included, is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+def _typed(key: str, value, kind: str):
+    """value cast to its kind, a list element by element; anything else, a
+    boolean included, is a ConfigError."""
+    if isinstance(value, list) and kind.endswith("s"):
+        return [_typed(key, v, kind[:-1]) for v in value]
+    name, types, cast = _KINDS[kind.removesuffix("s")]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
+    return cast(value)
 
 
 def _split_top_level(value: str) -> list[str]:
@@ -100,112 +106,100 @@ def parse_config_file(path) -> dict:
         key, _, value = line.partition("=")
         parts = _split_top_level(value.strip())
         parsed = [_parse_scalar(p) for p in parts if p.strip() != ""]
+        if not parsed:
+            raise ConfigError(f"{path}:{lineno}: {key.strip()!r} has no value")
         mapping[key.strip()] = parsed if len(parsed) > 1 else parsed[0]
     return mapping
 
 
 def _as_list(value) -> list:
-    return value if isinstance(value, list) else [value]
+    return value if isinstance(value, (list, tuple)) else [value]
 
 
 def _build_covariance(value, d: int) -> np.ndarray:
     if value is None or value == "identity":
         return np.eye(d)
-    if isinstance(value, str) and value.startswith("equicorrelated(") and value.endswith(")"):
-        rho = float(value[len("equicorrelated(") : -1])
-        return (1.0 - rho) * np.eye(d) + rho * np.ones((d, d))
-    if isinstance(value, str) and value.startswith("diag(") and value.endswith(")"):
-        entries = [float(t) for t in value[len("diag(") : -1].split(",")]
-        if len(entries) != d:
-            raise ConfigError(f"diag covariance has {len(entries)} entries for dimension {d}")
-        return np.diag(entries)
+    form, _, args = value.partition("(")
+    if form in ("equicorrelated", "diag") and args.endswith(")"):
+        entries = [_typed(f"{form} entry", _parse_scalar(t), "number")
+                   for t in args[:-1].split(",")]
+        if form == "diag" and len(entries) == d:
+            return np.diag(entries)
+        if form == "equicorrelated" and len(entries) == 1:
+            return (1.0 - entries[0]) * np.eye(d) + entries[0] * np.ones((d, d))
+        raise ConfigError(f"{value!r} has {len(entries)} entries for dimension {d}")
     raise ConfigError(
         f"unsupported covariance {value!r}; use identity, equicorrelated(rho) or diag(...)"
     )
 
 
-def _build_spec(mapping: dict):
-    dist = mapping.get("distribution", "gaussian")
+def _require(m: dict, dist: str, *keys: str) -> None:
+    for key in keys:
+        if key not in m:
+            raise ConfigError(f"{dist} requires key {key!r}")
+
+
+def _build_spec(m: dict):
+    dist = m.get("distribution", "gaussian")
+    if m.get("d", 1) < 1:
+        raise ConfigError(f"d must be >= 1, got {m['d']}")
     if dist == "gaussian":
-        mean_raw = mapping.get("mean", 0.0)
-        if isinstance(mean_raw, list):
-            mean = np.asarray([_float("mean", v) for v in mean_raw])
-            d = mean.size
-        else:
-            d = _int("d", mapping.get("d", 2))
-            mean = np.full(d, _float("mean", mean_raw))
-        return Gaussian(mean, _build_covariance(mapping.get("covariance"), d))
+        mean = m.get("mean", 0.0)
+        mean = np.asarray(mean) if isinstance(mean, list) else np.full(m.get("d", 2), mean)
+        return Gaussian(mean, _build_covariance(m.get("covariance"), mean.size))
     if dist == "pareto_product":
-        if "shape" not in mapping:
-            raise ConfigError("pareto_product requires key 'shape'")
-        return ParetoProduct(_float("shape", mapping["shape"]), _int("d", mapping.get("d", 2)))
+        _require(m, dist, "shape")
+        return ParetoProduct(m["shape"], m.get("d", 2))
     if dist == "rkhs_pushforward":
-        for key in ("sigma2", "w", "eta2"):
-            if key not in mapping:
-                raise ConfigError(f"rkhs_pushforward requires key {key!r}")
-        kernel = KernelSpec(_float("sigma2", mapping["sigma2"]), _float("w", mapping["w"]))
-        if "d_test" in mapping:
-            d_test = _int("d_test", mapping["d_test"])
-        elif "d_test_list" in mapping:
-            d_test = _int("d_test_list", _as_list(mapping["d_test_list"])[0])
-        else:
+        _require(m, dist, "sigma2", "w", "eta2")
+        if "d_test" not in m and "d_test_list" not in m:
             raise ConfigError("rkhs_pushforward requires 'd_test' or 'd_test_list'")
-        return RkhsPushforward(kernel, _float("eta2", mapping["eta2"]), d_test)
+        d_test = m["d_test"] if "d_test" in m else _as_list(m["d_test_list"])[0]
+        return RkhsPushforward(KernelSpec(m["sigma2"], m["w"]), m["eta2"], d_test)
     raise ConfigError(f"unknown distribution {dist!r}")
 
 
-def _build_optimizer(mapping: dict) -> OptimizerOpts:
-    overrides = {
-        k: (_float if k == "tol" else _int)(k, mapping[k]) for k in _OPTIMIZER_KEYS if k in mapping
-    }
-    if not overrides:
-        return EXPERIMENT_OPTIMIZER
-    return dataclasses.replace(EXPERIMENT_OPTIMIZER, **overrides)
-
-
-def _build_overlay(mapping: dict, p: float, spec) -> Overlay | None:
-    kind = mapping.get("overlay_kind")
-    if kind is None:
+def _build_overlay(m: dict, p: float, spec) -> Overlay | None:
+    if "overlay_kind" not in m:
         return None
     params = BoundParams(
         p=p,
-        s=_float("overlay_s", mapping.get("overlay_s", 2 * p + 1)),
+        s=m.get("overlay_s", 2 * p + 1),
         d=getattr(spec, "dim", None),
-        gamma=(_float("overlay_gamma", mapping["overlay_gamma"])
-               if "overlay_gamma" in mapping else None),
-        c_user=_float("overlay_c", mapping.get("overlay_c", 1.0)),
-        C_user=_float("overlay_C", mapping.get("overlay_C", 1.0)),
+        gamma=m.get("overlay_gamma"),
+        c_user=m.get("overlay_c", 1.0),
+        C_user=m.get("overlay_C", 1.0),
     )
-    return Overlay(kind=str(kind), params=params)
+    return Overlay(kind=m["overlay_kind"], params=params)
 
 
 def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, ...]]:
-    """Build an ExperimentConfig (plus the eps grid for ratio experiments)."""
-    unknown = sorted(set(mapping) - _CONFIG_KEYS)
+    """Build an ExperimentConfig (plus the eps grid for ratio experiments).
+
+    Every key is looked up in CONFIG_KINDS and every value typed before
+    anything is built, so a malformed config fails before the first trial.
+    """
+    unknown = sorted(mapping.keys() - CONFIG_KINDS.keys())
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    if "experiment" not in mapping:
+    m = {key: _typed(key, value, CONFIG_KINDS[key]) for key, value in mapping.items()}
+    if "experiment" not in m:
         raise ConfigError("config must set 'experiment'")
-    spec = _build_spec(mapping)
-    p = _float("p", mapping.get("p", 2.0))
-    n_grid = tuple(_int("n_grid", n) for n in _as_list(mapping.get("n_grid", list(DEFAULT_N_GRID))))
-    d_test_list = mapping.get("d_test_list")
-    if d_test_list is not None:
-        d_test_list = tuple(_int("d_test_list", d) for d in _as_list(d_test_list))
+    spec = _build_spec(m)
+    p = m.get("p", 2.0)
+    optimizer = {k: m[k] for k in ("restarts", "max_iters", "tol") if k in m}
     config = ExperimentConfig(
-        experiment=str(mapping["experiment"]),
+        experiment=m["experiment"],
         spec=spec,
         p=p,
-        n_grid=n_grid,
-        mc_runs=_int("mc_runs", mapping.get("mc_runs", 100)),
-        master_seed=_int("master_seed", mapping.get("master_seed", 0)),
-        optimizer=_build_optimizer(mapping),
-        d_test_list=d_test_list,
-        overlay=_build_overlay(mapping, p, spec),
+        n_grid=tuple(_as_list(m.get("n_grid", DEFAULT_N_GRID))),
+        mc_runs=m.get("mc_runs", 100),
+        master_seed=m.get("master_seed", 0),
+        optimizer=dataclasses.replace(EXPERIMENT_OPTIMIZER, **optimizer),
+        d_test_list=tuple(_as_list(m["d_test_list"])) if "d_test_list" in m else None,
+        overlay=_build_overlay(m, p, spec),
     )
-    eps_grid = mapping.get("eps_grid", list(DEFAULT_EPS_GRID))
-    eps_grid = tuple(_float("eps_grid", e) for e in _as_list(eps_grid))
-    return config, eps_grid
+    return config, tuple(_as_list(m.get("eps_grid", DEFAULT_EPS_GRID)))
 
 
 def load_sample_file(path) -> np.ndarray:
@@ -237,9 +231,7 @@ def load_sample_file(path) -> np.ndarray:
 def _cmd_compute(args) -> int:
     xs = load_sample_file(args.x)
     ys = load_sample_file(args.y)
-    opts = dataclasses.replace(
-        OptimizerOpts(), restarts=args.restarts
-    ) if args.restarts else OptimizerOpts()
+    opts = OptimizerOpts() if args.restarts is None else OptimizerOpts(restarts=args.restarts)
     result = msw_empirical(xs, ys, args.p, opts, RngStream(args.seed))
     payload = {
         "value": result.value,
@@ -256,11 +248,16 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _cmd_rate(args) -> int:
-    mapping = parse_config_file(args.config)
+def _load_config(args, **defaults):
+    """The config file's ExperimentConfig and eps grid; --seed overrides master_seed."""
+    mapping = {**defaults, **parse_config_file(args.config)}
     if args.seed is not None:
         mapping["master_seed"] = args.seed
-    config, _ = config_from_mapping(mapping)
+    return config_from_mapping(mapping)
+
+
+def _cmd_rate(args) -> int:
+    config, _ = _load_config(args)
     result = run_rate_experiment(config, threads=args.threads)
     out = Path(args.out)
     if isinstance(result, dict):
@@ -272,13 +269,8 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
-    mapping = parse_config_file(args.config)
-    if args.seed is not None:
-        mapping["master_seed"] = args.seed
-    mapping.setdefault("experiment", "ratio_exceedance")
-    config, eps_grid = config_from_mapping(mapping)
-    table = run_ratio_experiment(config, eps_grid, threads=args.threads)
-    emit(table, args.format, args.out)
+    config, eps_grid = _load_config(args, experiment="ratio_exceedance")
+    emit(run_ratio_experiment(config, eps_grid, threads=args.threads), args.format, args.out)
     return 0
 
 

@@ -46,7 +46,11 @@ _ROLE_MU, _ROLE_NU, _ROLE_OPT, _ROLE_SPARE = 0, 1, 2, 3
 DEFAULT_N_GRID = (50, 100, 200, 400, 800, 1600)
 EXPERIMENT_OPTIMIZER = OptimizerOpts(restarts=6, max_iters=200)
 
-_OVERLAY_KINDS = ("finite", "exp_decay", "poly_decay")
+_OVERLAY_FORMULAS = {
+    "finite": expectation_bound_finite,
+    "exp_decay": expectation_bound_exp_decay,
+    "poly_decay": expectation_bound_poly_decay,
+}
 
 
 @dataclass(frozen=True)
@@ -54,20 +58,25 @@ class Overlay:
     """An expectation-bound curve to emit next to the empirical means.
 
     The emitted value is the bound on E[W̄_p^p] as the formula gives it, while
-    the means estimate E[W̄_p]; compare mean with bound ** (1 / p).
+    the means estimate E[W̄_p]; compare mean with bound ** (1 / p). The kind
+    and the inputs its formula needs are checked on construction.
     """
 
     kind: str
     params: BoundParams
 
+    def __post_init__(self):
+        if self.kind not in _OVERLAY_FORMULAS:
+            raise ConfigError(
+                f"unknown overlay kind {self.kind!r}; expected one of {tuple(_OVERLAY_FORMULAS)}"
+            )
+        try:
+            self.evaluate(1)
+        except DomainError as exc:
+            raise ConfigError(f"overlay {self.kind!r}: {exc}") from exc
+
     def evaluate(self, n: int) -> float:
-        if self.kind == "finite":
-            return expectation_bound_finite(self.params, n)
-        if self.kind == "exp_decay":
-            return expectation_bound_exp_decay(self.params, n)
-        if self.kind == "poly_decay":
-            return expectation_bound_poly_decay(self.params, n)
-        raise ConfigError(f"unknown overlay kind {self.kind!r}")
+        return _OVERLAY_FORMULAS[self.kind](self.params, n)
 
 
 @dataclass(frozen=True)
@@ -109,12 +118,29 @@ class ExperimentConfig:
                 object.__setattr__(self, "d_test_list", lst)
 
 
+class _Table:
+    """A result whose COLUMNS name its emitted columns in order. A column set
+    to None is left out, and every column but wall_s is a statistic."""
+
+    COLUMNS: tuple[str, ...] = ()
+
+    def columns(self) -> dict:
+        return {c: getattr(self, c) for c in self.COLUMNS if getattr(self, c) is not None}
+
+    def same_statistics(self, other) -> bool:
+        """Bitwise equality of everything except the wallclock column."""
+        a, b = self.columns(), other.columns()
+        return a.keys() == b.keys() and all(np.array_equal(a[c], b[c]) for c in a if c != "wall_s")
+
+
 @dataclass(frozen=True)
-class RateCurve:
+class RateCurve(_Table):
     """Per-n Monte Carlo estimates of E[W̄_p], the expected max-sliced distance.
 
     The mean column is the distance itself, not its p-th power.
     """
+
+    COLUMNS = ("n", "mean", "stderr", "runs", "wall_s", "bound")
 
     n: np.ndarray
     mean: np.ndarray
@@ -124,24 +150,12 @@ class RateCurve:
     meta: dict
     bound: np.ndarray | None = None
 
-    def same_statistics(self, other: "RateCurve") -> bool:
-        """Bitwise equality of everything except the wallclock column."""
-        return (
-            np.array_equal(self.n, other.n)
-            and np.array_equal(self.mean, other.mean)
-            and np.array_equal(self.stderr, other.stderr)
-            and np.array_equal(self.runs, other.runs)
-            and (
-                (self.bound is None and other.bound is None)
-                or (self.bound is not None and other.bound is not None
-                    and np.array_equal(self.bound, other.bound))
-            )
-        )
-
 
 @dataclass(frozen=True)
-class RatioTable:
+class RatioTable(_Table):
     """Exceedance frequencies of the ratio statistic next to the tail bound."""
+
+    COLUMNS = ("n", "epsilon", "frequency", "bound", "bound_raw", "runs")
 
     n: np.ndarray
     epsilon: np.ndarray
@@ -150,12 +164,6 @@ class RatioTable:
     bound_raw: np.ndarray
     runs: np.ndarray
     meta: dict
-
-    def same_statistics(self, other: "RatioTable") -> bool:
-        return all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("n", "epsilon", "frequency", "bound", "bound_raw", "runs")
-        )
 
 
 def spec_to_dict(spec: DistributionSpec) -> dict:
@@ -235,8 +243,7 @@ def _rate_trial(config: ExperimentConfig, n_index: int, trial: int):
             ).value
             for k, dt in enumerate(config.d_test_list)
         )
-    wall = time.perf_counter() - start
-    return n_index, trial, values, wall
+    return values, time.perf_counter() - start
 
 
 def _ratio_trial(config: ExperimentConfig, n_index: int, trial: int):
@@ -245,34 +252,34 @@ def _ratio_trial(config: ExperimentConfig, n_index: int, trial: int):
     start = time.perf_counter()
     xs = sample(config.spec, n, mu_stream)
     value = ratio_sup(xs, config.spec, config.optimizer, opt_stream).value
-    wall = time.perf_counter() - start
-    return n_index, trial, (value,), wall
+    return (value,), time.perf_counter() - start
 
 
-def _run_items(worker, config: ExperimentConfig, items, threads: int):
+def _run_items(worker, config: ExperimentConfig, threads: int):
+    """Run worker on every (n index, trial) item of the config.
+
+    Returns the values, shape (values per trial, len(n_grid), mc_runs), and
+    the wall times, shape (len(n_grid), mc_runs). Results are collected in
+    item order, so they do not depend on how the items are scheduled.
+    """
     if threads < 0:
         raise DomainError(f"thread count must be >= 0, got {threads}")
     if threads == 0:
         threads = os.cpu_count() or 1
+    items = [(i, t) for i in range(len(config.n_grid)) for t in range(config.mc_runs)]
     if threads == 1 or len(items) <= 1:
         results = [worker(config, *it) for it in items]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(worker, config, *it) for it in items]
             results = [f.result() for f in futures]
-    # deterministic fold: order by (n_index, trial) regardless of completion
-    results.sort(key=lambda r: (r[0], r[1]))
-    return results
+    shape = (len(config.n_grid), config.mc_runs)
+    values = np.array([v for v, _ in results]).T.reshape(-1, *shape)
+    return values, np.array([w for _, w in results]).reshape(shape)
 
 
-def _aggregate(config: ExperimentConfig, results, column: int) -> RateCurve:
+def _aggregate(config: ExperimentConfig, vals: np.ndarray, walls: np.ndarray) -> RateCurve:
     n_count = len(config.n_grid)
-    vals = np.empty((n_count, config.mc_runs))
-    walls = np.empty((n_count, config.mc_runs))
-    for n_index, trial, values, wall in results:
-        vals[n_index, trial] = values[column]
-        walls[n_index, trial] = wall
-    means = vals.mean(axis=1)
     if config.mc_runs > 1:
         stderrs = vals.std(axis=1, ddof=1) / math.sqrt(config.mc_runs)
     else:
@@ -282,7 +289,7 @@ def _aggregate(config: ExperimentConfig, results, column: int) -> RateCurve:
         bound = np.array([config.overlay.evaluate(n) for n in config.n_grid])
     return RateCurve(
         n=np.array(config.n_grid, dtype=np.int64),
-        mean=means,
+        mean=vals.mean(axis=1),
         stderr=stderrs,
         runs=np.full(n_count, config.mc_runs, dtype=np.int64),
         wall_s=walls.mean(axis=1),
@@ -300,14 +307,10 @@ def run_rate_experiment(config: ExperimentConfig, threads: int = 1):
     """
     if config.experiment not in ("rate_vs_truth", "rate_two_sample", "rkhs_rate"):
         raise ConfigError(f"run_rate_experiment cannot run {config.experiment!r}")
-    items = [(i, t) for i in range(len(config.n_grid)) for t in range(config.mc_runs)]
-    results = _run_items(_rate_trial, config, items, threads)
+    values, walls = _run_items(_rate_trial, config, threads)
     if config.experiment == "rkhs_rate":
-        return {
-            dt: _aggregate(config, results, k)
-            for k, dt in enumerate(config.d_test_list)
-        }
-    return _aggregate(config, results, 0)
+        return {dt: _aggregate(config, v, walls) for dt, v in zip(config.d_test_list, values)}
+    return _aggregate(config, values[0], walls)
 
 
 def run_ratio_experiment(config: ExperimentConfig, eps_grid, threads: int = 1) -> RatioTable:
@@ -318,27 +321,20 @@ def run_ratio_experiment(config: ExperimentConfig, eps_grid, threads: int = 1) -
     if eps_grid.ndim != 1 or eps_grid.size < 1 or np.any(eps_grid < 0.0):
         raise ConfigError("eps_grid must be a nonempty vector of nonnegative thresholds")
     d = config.spec.dim
-    items = [(i, t) for i in range(len(config.n_grid)) for t in range(config.mc_runs)]
-    results = _run_items(_ratio_trial, config, items, threads)
-    values = np.empty((len(config.n_grid), config.mc_runs))
-    for n_index, trial, vals, _ in results:
-        values[n_index, trial] = vals[0]
-    rows_n, rows_eps, rows_freq, rows_bound, rows_raw = [], [], [], [], []
-    for i, n in enumerate(config.n_grid):
-        for eps in eps_grid:
-            bound = ratio_tail_bound(n, d, float(eps))
-            rows_n.append(n)
-            rows_eps.append(float(eps))
-            rows_freq.append(float(np.mean(values[i] >= eps)))
-            rows_bound.append(bound.clipped)
-            rows_raw.append(bound.raw)
+    values, _ = _run_items(_ratio_trial, config, threads)
+    rows = [
+        (n, float(eps), float(np.mean(values[0, i] >= eps)), ratio_tail_bound(n, d, float(eps)))
+        for i, n in enumerate(config.n_grid)
+        for eps in eps_grid
+    ]
+    n, eps, freq, bounds = zip(*rows)
     return RatioTable(
-        n=np.array(rows_n, dtype=np.int64),
-        epsilon=np.array(rows_eps),
-        frequency=np.array(rows_freq),
-        bound=np.array(rows_bound),
-        bound_raw=np.array(rows_raw),
-        runs=np.full(len(rows_n), config.mc_runs, dtype=np.int64),
+        n=np.array(n, dtype=np.int64),
+        epsilon=np.array(eps),
+        frequency=np.array(freq),
+        bound=np.array([b.clipped for b in bounds]),
+        bound_raw=np.array([b.raw for b in bounds]),
+        runs=np.full(len(n), config.mc_runs, dtype=np.int64),
         meta=_meta(config),
     )
 
@@ -368,21 +364,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _rate_rows(curve: RateCurve):
-    header = ["n", "mean", "stderr", "runs", "wall_s"]
-    cols = [curve.n, curve.mean, curve.stderr, curve.runs, curve.wall_s]
-    if curve.bound is not None:
-        header.append("bound")
-        cols.append(curve.bound)
-    return header, list(zip(*cols))
-
-
-def _ratio_rows(table: RatioTable):
-    header = ["n", "epsilon", "frequency", "bound", "bound_raw", "runs"]
-    cols = [table.n, table.epsilon, table.frequency, table.bound, table.bound_raw, table.runs]
-    return header, list(zip(*cols))
-
-
 def emit(obj, format: str, path) -> None:
     """Write a RateCurve or RatioTable as CSV or JSON, plus a sibling meta file.
 
@@ -393,12 +374,10 @@ def emit(obj, format: str, path) -> None:
     """
     if format not in ("csv", "json"):
         raise DomainError(f"format must be 'csv' or 'json', got {format!r}")
-    if isinstance(obj, RateCurve):
-        header, rows = _rate_rows(obj)
-    elif isinstance(obj, RatioTable):
-        header, rows = _ratio_rows(obj)
-    else:
+    if not isinstance(obj, _Table):
         raise DomainError(f"cannot emit object of type {type(obj).__name__}")
+    columns = obj.columns()
+    header, rows = list(columns), list(zip(*columns.values()))
     path = Path(path)
     try:
         if format == "csv":
@@ -436,13 +415,10 @@ def load_rate_curve(path, format: str) -> RateCurve:
         data = {key: [row[key] for row in rows] for key in header}
     else:
         raise DomainError(f"format must be 'csv' or 'json', got {format!r}")
-    bound = np.array([float(x) for x in data["bound"]]) if "bound" in data else None
-    return RateCurve(
-        n=np.array([int(x) for x in data["n"]], dtype=np.int64),
-        mean=np.array([float(x) for x in data["mean"]]),
-        stderr=np.array([float(x) for x in data["stderr"]]),
-        runs=np.array([int(x) for x in data["runs"]], dtype=np.int64),
-        wall_s=np.array([float(x) for x in data["wall_s"]]),
-        meta=meta,
-        bound=bound,
-    )
+    columns = {
+        c: (np.array([int(x) for x in data[c]], dtype=np.int64) if c in ("n", "runs")
+            else np.array([float(x) for x in data[c]]))
+        for c in RateCurve.COLUMNS
+        if c in data
+    }
+    return RateCurve(**columns, meta=meta)

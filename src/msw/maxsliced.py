@@ -199,7 +199,7 @@ class _AnalyticObjective:
 
     so each direction costs one projection, one sort and one dot product with
     g, which depends on n only. Quadrature serves p != 2 only: the standard
-    normal quantiles at `nodes` Gauss-Legendre nodes per block depend on n
+    normal quantiles at _OPT_NODES Gauss-Legendre nodes per block depend on n
     only, so they are precomputed once, and each direction costs a weighted
     power sum over them.
 
@@ -208,7 +208,7 @@ class _AnalyticObjective:
     ties keep their index order.
     """
 
-    def __init__(self, x: np.ndarray, spec: Gaussian, p: float, nodes: int = _OPT_NODES):
+    def __init__(self, x: np.ndarray, spec: Gaussian, p: float):
         self.x, self.p = x, p
         self.mean, self.cov = spec.mean, spec.cov
         n = x.shape[0]
@@ -219,9 +219,9 @@ class _AnalyticObjective:
             pdf[1:-1] = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
             self.g = pdf[:-1] - pdf[1:]
         else:
-            self.per_direction = n * nodes
+            self.per_direction = n * _OPT_NODES
             lo, hi, _ = _integration_cells(n, None)
-            t, v = _leggauss(nodes)
+            t, v = _leggauss(_OPT_NODES)
             u = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t[None, :]
             self.wq = 0.5 * (hi - lo)[:, None] * v[None, :]  # (n, K)
             self.z = ndtri(u)

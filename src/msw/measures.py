@@ -66,8 +66,8 @@ class Gaussian:
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
         cov = np.asarray(self.cov, dtype=np.float64)
-        if mean.ndim != 1:
-            raise SpecError(f"Gaussian mean must be a vector, got shape {mean.shape}")
+        if mean.ndim != 1 or mean.size < 1:
+            raise SpecError(f"Gaussian mean must be a nonempty vector, got shape {mean.shape}")
         if cov.shape != (mean.size, mean.size):
             raise SpecError(
                 f"Gaussian covariance shape {cov.shape} does not match dimension {mean.size}"

@@ -76,20 +76,6 @@ def ratio_fixed_direction(xs, theta, law: AnalyticCdf1d) -> RatioStatResult:
     )
 
 
-def ratio_at_threshold(xs, theta, law: AnalyticCdf1d, t: float) -> float:
-    """The statistic at one (theta, t), maximized over both one-sided limits."""
-    proj = project(xs, theta)
-    n = proj.size
-    f_at = float(law.cdf(np.asarray([t]))[0])
-    f_left = f_at if law.cdf_left is None else float(law.cdf_left(np.asarray([t]))[0])
-    fn_at = float(np.searchsorted(proj, t, side="right")) / n
-    fn_left = float(np.searchsorted(proj, t, side="left")) / n
-    vals = _candidate_ratios(
-        np.array([f_at, f_left]), np.array([fn_at, fn_left])
-    )
-    return float(np.max(vals))
-
-
 def _projected_law(spec: Gaussian, theta: np.ndarray) -> AnalyticCdf1d:
     var = float(theta @ spec.cov @ theta)
     return gaussian_law(float(theta @ spec.mean), max(var, 1e-300))
@@ -102,6 +88,8 @@ class _RatioObjective:
     statistic has no closed-form derivative, so value_and_grad returns
     central differences, evaluated as 2d extra rows per direction in the same
     batched value pass. p = 1 makes the search's oracle gap a plain difference.
+    certify is value at one direction; ratio_sup recomputes the full result
+    with ratio_fixed_direction at the winning direction only.
     """
 
     p = 1.0
@@ -127,7 +115,7 @@ class _RatioObjective:
         return vals[:r], (pairs[:, 0] - pairs[:, 1]) / (2.0 * _FD_STEP)
 
     def certify(self, theta: np.ndarray) -> float:
-        return ratio_fixed_direction(self.x, theta, _projected_law(self.spec, theta)).value
+        return float(self.value(theta[None])[0])
 
 
 def ratio_sup(xs, spec: Gaussian, opts: OptimizerOpts | None = None,

@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from msw.cli import config_from_mapping, load_sample_file, main, parse_config_file
+from msw.cli import CONFIG_KINDS, config_from_mapping, load_sample_file, main, parse_config_file
 from msw.errors import ConfigError
 from msw.harness import load_rate_curve
 from msw.measures import Gaussian, ParetoProduct, RkhsPushforward
@@ -177,6 +179,22 @@ def test_exit_codes(tmp_path, capsys):
         typed.write_text(good.read_text() + line + "\n")
         assert main(["rate", "--config", str(typed), "--out", str(tmp_path / "o.csv")]) == 2
         assert f"{key} must be an integer" in capsys.readouterr().err
+    # malformed covariance numbers, overlays, dimensions and empty values -> config error,
+    # before any trial runs
+    for line in ("covariance = equicorrelated(abc)", "covariance = diag(1, x)",
+                 "overlay_kind = bogus", "overlay_kind = exp_decay", "d = -1", "mean ="):
+        bad_cfg = tmp_path / "malformed.cfg"
+        bad_cfg.write_text(good.read_text() + line + "\n")
+        out = tmp_path / "malformed.csv"
+        assert main(["rate", "--config", str(bad_cfg), "--out", str(out)]) == 2, line
+        assert not out.exists() and not out.with_suffix(".meta.json").exists()
+    # zero restarts -> config error, like a negative count
+    pts = tmp_path / "pts.csv"
+    write_samples(pts, np.random.default_rng(2).normal(size=(6, 2)))
+    for restarts in ("0", "-1"):
+        out = tmp_path / "compute.json"
+        assert main(["compute", str(pts), str(pts), "--restarts", restarts, "--out", str(out)]) == 2
+        assert not out.exists()
     # ragged sample file -> config error naming the short line
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("x1,x2\n0.1,0.2\n0.3\n0.4,0.5\n")
@@ -184,3 +202,20 @@ def test_exit_codes(tmp_path, capsys):
     assert f"{ragged}:3: expected 2 values, got 1" in capsys.readouterr().err
     # empty eigenvalue table -> config error
     assert main(["rkhs-spectrum", "--sigma2", "4", "--w", "1", "--j-max", "0"]) == 2
+
+
+def test_overlay_errors_raise_while_building_the_config():
+    base = {"experiment": "rate_two_sample", "d": 2, "n_grid": [8, 16], "mc_runs": 1}
+    with pytest.raises(ConfigError, match="unknown overlay kind 'bogus'"):
+        config_from_mapping({**base, "overlay_kind": "bogus"})
+    with pytest.raises(ConfigError, match="decay exponent gamma"):
+        config_from_mapping({**base, "overlay_kind": "exp_decay"})
+    config, _ = config_from_mapping({**base, "overlay_kind": "exp_decay", "overlay_gamma": 2})
+    assert config.overlay.params.gamma == 2.0
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config files", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`(\w+)", section)) | set(re.findall(r"^(\w+) =", section, re.M))
+    assert sorted(CONFIG_KINDS.keys() - documented) == []

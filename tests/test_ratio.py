@@ -21,7 +21,7 @@ from msw import (
     vc_bound,
 )
 from msw.maxsliced import _normalize_rows, grid_directions
-from msw.ratio import _FD_STEP, _projected_law, _RatioObjective, ratio_at_threshold
+from msw.ratio import _FD_STEP, _projected_law, _RatioObjective
 
 FAST = OptimizerOpts(restarts=6, max_iters=50)
 
@@ -55,7 +55,12 @@ def test_recompute_at_argmax_matches():
     theta = np.array([0.6, 0.8])
     law = gaussian_law(0.0, 1.0)
     res = ratio_fixed_direction(xs, theta, law)
-    assert ratio_at_threshold(xs, theta, law, res.arg_t) == pytest.approx(res.value, abs=1e-10)
+    # both one-sided limits at the reported threshold; the law has no atoms
+    proj = np.sort(xs @ theta)
+    f = float(law.cdf(np.array([res.arg_t]))[0])
+    fn = [np.searchsorted(proj, res.arg_t, side=side) / proj.size for side in ("right", "left")]
+    candidates = [abs(f - g) / math.sqrt(max(f, g)) for g in fn]
+    assert max(candidates) == pytest.approx(res.value, abs=1e-10)
 
 
 def test_statistic_is_nonnegative_and_zero_iff_matching():
