@@ -5,7 +5,6 @@ Exit codes: 0 success, 2 configuration error, 3 numeric error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import numbers
 import sys
@@ -17,7 +16,7 @@ from .bounds import BoundParams
 from .errors import ConfigError, DomainError, MswError, NumericError, SpecError
 from .harness import (
     DEFAULT_N_GRID,
-    EXPERIMENT_OPTIMIZER,
+    EXPERIMENTS,
     ExperimentConfig,
     Overlay,
     emit,
@@ -40,6 +39,10 @@ CONFIG_KINDS = {
     "overlay_s": "number", "overlay_gamma": "number", "overlay_c": "number", "overlay_C": "number",
     "tol": "number", "mean": "numbers", "eps_grid": "numbers",
 }
+# keys that only some experiments read; any other experiment rejects them
+_RATE = ("rate_vs_truth", "rate_two_sample", "rkhs_rate")
+_READ_BY = {"p": _RATE, "d_test_list": ("rkhs_rate",), "eps_grid": ("ratio_exceedance",),
+            **{key: _RATE for key in CONFIG_KINDS if key.startswith("overlay_")}}
 # kind -> (its name in errors, the types it accepts, the cast applied)
 _KINDS = {
     "text": ("text", str, str),
@@ -145,6 +148,8 @@ def _build_spec(m: dict):
         raise ConfigError(f"d must be >= 1, got {m['d']}")
     if dist == "gaussian":
         mean = m.get("mean", 0.0)
+        if isinstance(mean, list) and m.get("d", len(mean)) != len(mean):
+            raise ConfigError(f"d = {m['d']} disagrees with the {len(mean)} entries of mean")
         mean = np.asarray(mean) if isinstance(mean, list) else np.full(m.get("d", 2), mean)
         return Gaussian(mean, _build_covariance(m.get("covariance"), mean.size))
     if dist == "pareto_product":
@@ -177,7 +182,8 @@ def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, .
     """Build an ExperimentConfig (plus the eps grid for ratio experiments).
 
     Every key is looked up in CONFIG_KINDS and every value typed before
-    anything is built, so a malformed config fails before the first trial.
+    anything is built, and a key that the experiment never reads is rejected,
+    so a malformed config fails before the first trial.
     """
     unknown = sorted(mapping.keys() - CONFIG_KINDS.keys())
     if unknown:
@@ -195,10 +201,13 @@ def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, .
         n_grid=tuple(_as_list(m.get("n_grid", DEFAULT_N_GRID))),
         mc_runs=m.get("mc_runs", 100),
         master_seed=m.get("master_seed", 0),
-        optimizer=dataclasses.replace(EXPERIMENT_OPTIMIZER, **optimizer),
+        optimizer=OptimizerOpts(**optimizer),
         d_test_list=tuple(_as_list(m["d_test_list"])) if "d_test_list" in m else None,
         overlay=_build_overlay(m, p, spec),
     )
+    unread = sorted(k for k in m if config.experiment not in _READ_BY.get(k, EXPERIMENTS))
+    if unread:
+        raise ConfigError(f"experiment {config.experiment!r} does not read {', '.join(unread)}")
     return config, tuple(_as_list(m.get("eps_grid", DEFAULT_EPS_GRID)))
 
 
@@ -239,6 +248,7 @@ def _cmd_compute(args) -> int:
         "p": args.p,
         "restarts_used": result.restarts_used,
         "iterations": result.iterations,
+        "converged": result.converged,
     }
     text = json.dumps(payload, indent=1) + "\n"
     if args.out:

@@ -41,10 +41,8 @@ EXPERIMENTS = ("rate_vs_truth", "rate_two_sample", "ratio_exceedance", "rkhs_rat
 # stream roles within one (n, trial) work item
 _ROLE_MU, _ROLE_NU, _ROLE_OPT, _ROLE_SPARE = 0, 1, 2, 3
 
-# desk-scale defaults; the library default OptimizerOpts is heavier than the
-# Monte Carlo experiments need, so the harness ships its own
+# desk-scale default grid of sample sizes
 DEFAULT_N_GRID = (50, 100, 200, 400, 800, 1600)
-EXPERIMENT_OPTIMIZER = OptimizerOpts(restarts=6, max_iters=200)
 
 _OVERLAY_FORMULAS = {
     "finite": expectation_bound_finite,
@@ -87,7 +85,7 @@ class ExperimentConfig:
     n_grid: tuple[int, ...] = DEFAULT_N_GRID
     mc_runs: int = 100
     master_seed: int = 0
-    optimizer: OptimizerOpts = EXPERIMENT_OPTIMIZER
+    optimizer: OptimizerOpts = OptimizerOpts()
     d_test_list: tuple[int, ...] | None = None
     overlay: Overlay | None = None
 
@@ -260,14 +258,14 @@ def _run_items(worker, config: ExperimentConfig, threads: int):
 
     Returns the values, shape (values per trial, len(n_grid), mc_runs), and
     the wall times, shape (len(n_grid), mc_runs). Results are collected in
-    item order, so they do not depend on how the items are scheduled.
+    item order, so they do not depend on how the items are scheduled. The
+    pool never has more workers than items.
     """
     if threads < 0:
         raise DomainError(f"thread count must be >= 0, got {threads}")
-    if threads == 0:
-        threads = os.cpu_count() or 1
     items = [(i, t) for i in range(len(config.n_grid)) for t in range(config.mc_runs)]
-    if threads == 1 or len(items) <= 1:
+    threads = min(threads or os.cpu_count() or 1, len(items))
+    if threads == 1:
         results = [worker(config, *it) for it in items]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -1,10 +1,11 @@
 """Maximization of the projected Wasserstein distance over the unit sphere.
 
-The sup over directions is approached by projected subgradient ascent with
-random restarts plus data-driven seed directions; all restarts are iterated in
-lockstep as one batched array pass, which is what makes the Monte Carlo
-experiments affordable. Reported values are certified lower bounds: the
-distance is always recomputed from scratch at the returned direction.
+The sup over directions is approached by Riemannian gradient ascent (Lin,
+Fan, Ho, Cuturi and Jordan, NeurIPS 2020) from random restarts plus
+data-driven seed directions, which stops on its own once every start stalls;
+all live starts are iterated in lockstep as one batched array pass, which is
+what makes the Monte Carlo experiments affordable. Reported values are
+certified lower bounds: the distance is recomputed at the returned direction.
 
 _run_search takes any objective with this protocol: p, the order (the oracle
 gap is reported on the p-th root); per_direction, the array elements one
@@ -41,21 +42,23 @@ _SEED_GRID = {2: 256, 3: 1024}
 # p != 2 (p = 2 has a closed form); the final certificate is recomputed at the
 # full default order of w1d_vs_cdf
 _OPT_NODES = 8
-# first step length of the ascent; step k is _STEP0 / sqrt(k + 1)
-_STEP0 = 0.1
+# each start's first step and its growth after a rise (it halves after a
+# fall); a start stops after _PATIENCE tries without a relative gain of tol
+_STEP0, _GROW, _PATIENCE = 0.1, 1.5, 10
 
 
 @dataclass(frozen=True)
 class OptimizerOpts:
-    """Knobs of the projected subgradient ascent.
+    """Knobs of the Riemannian ascent, one preset for every caller.
 
-    The step rule is fixed: step k = 0, 1, ... has length 0.1/sqrt(k+1). A
-    restart stops once its one-step objective change falls below tol.
+    tol is a relative stall threshold: a start stops once _PATIENCE tries in
+    a row fail to raise its value by more than tol times that value, or after
+    max_iters iterations; the step rule is fixed (see _ascend).
     """
 
-    restarts: int = 30
-    max_iters: int = 500
-    tol: float = 1e-9
+    restarts: int = 6
+    max_iters: int = 200
+    tol: float = 1e-7
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -71,29 +74,24 @@ class MswResult:
     """Outcome of a max-sliced distance computation.
 
     value is recomputed at argmax after the search, so it is a certified lower
-    bound on the true supremum. oracle_gap is value minus the best coarse-grid
-    value when a grid seed was used, or the sup-error bound of the grid itself
-    when the result comes from msw_grid_oracle.
+    bound on the true supremum. converged is whether the winning start stopped
+    on the stall rule before max_iters; results without a search count as
+    converged. oracle_gap is value minus the best coarse-grid value when a
+    grid seed was used, or the sup-error bound of the grid itself when the
+    result comes from msw_grid_oracle.
     """
 
     value: float
     argmax: np.ndarray
     restarts_used: int
     iterations: int
+    converged: bool = True
     oracle_gap: float | None = None
 
 
-def _normalize_rows(th: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
-    norms = np.linalg.norm(th, axis=1, keepdims=True)
-    if fallback is not None:
-        th = np.where(norms > 1e-14, th, fallback)
-        norms = np.linalg.norm(th, axis=1, keepdims=True)
-    out = th / np.maximum(norms, 1e-300)
-    bad = norms[:, 0] <= 1e-14
-    if np.any(bad):
-        out[bad] = 0.0
-        out[bad, 0] = 1.0
-    return out
+def _normalize_rows(th: np.ndarray) -> np.ndarray:
+    """The rows of th scaled to unit norm; a zero row stays zero."""
+    return th / np.maximum(np.linalg.norm(th, axis=1, keepdims=True), 1e-300)
 
 
 def grid_directions(d: int, resolution: int) -> np.ndarray:
@@ -319,44 +317,66 @@ def _collect_starts(objective, pooled: np.ndarray, mean_diff: np.ndarray,
     return _normalize_rows(np.asarray(rows)), coarse
 
 
+def _tangent(v: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """The rows of v projected onto the tangent spaces at the unit rows of th, normalised."""
+    return _normalize_rows(v - np.einsum("rd,rd->r", v, th)[:, None] * th)
+
+
 def _ascend(objective, starts: np.ndarray, opts: OptimizerOpts):
-    """Lockstep projected subgradient ascent over all starts at once."""
-    th = starts
+    """Lockstep Riemannian gradient ascent over all starts at once.
+
+    Each start tries th + step * u, renormalised, and keeps it only when the
+    value rises. u is a unit tangent direction: at first the normalised
+    tangent gradient g - <g, th> th, and after each try the normalised sum of
+    u and the try's normalised tangent gradient, both taken at the kept
+    point. Across a ridge, where the gradient flips between tries, the flips
+    cancel and u turns along the ridge. The step starts at _STEP0, grows by
+    _GROW after a rise and halves after a fall. Only unit directions and
+    value comparisons enter, so the rule is free of the data's units. A
+    start stops after _PATIENCE tries in a row without a relative gain of
+    opts.tol; only live starts are evaluated. Returns the values, the
+    directions, the iteration count and which starts stopped on a stall.
+    """
+    th = starts.copy()
     vals, grads = objective.value_and_grad(th)
-    best_vals = vals.copy()
-    best_th = th.copy()
-    active = np.ones(th.shape[0], dtype=bool)
+    u = _tangent(grads, th)
+    step = np.full(th.shape[0], _STEP0)
+    stalled = np.zeros(th.shape[0], dtype=int)
     iters = 0
-    for k in range(opts.max_iters):
-        step = _STEP0 / math.sqrt(k + 1.0)
-        th_new = th + step * active[:, None] * grads
-        th_new = _normalize_rows(th_new, fallback=th)
-        new_vals, new_grads = objective.value_and_grad(th_new)
-        improved = new_vals > best_vals
-        best_vals = np.where(improved, new_vals, best_vals)
-        best_th = np.where(improved[:, None], th_new, best_th)
-        active &= np.abs(new_vals - vals) >= opts.tol
-        th, vals, grads = th_new, new_vals, new_grads
-        iters = k + 1
-        if not active.any():
-            break
-    return best_vals, best_th, iters
+    while iters < opts.max_iters and np.any(stalled < _PATIENCE):
+        iters += 1
+        live = np.flatnonzero(stalled < _PATIENCE)
+        trial = _normalize_rows(th[live] + step[live, None] * u[live])
+        new_vals, new_grads = objective.value_and_grad(trial)
+        rise = new_vals > vals[live]
+        gain = new_vals - vals[live] > opts.tol * vals[live]
+        th[live[rise]], vals[live[rise]] = trial[rise], new_vals[rise]
+        u[live] = _tangent(u[live] + _tangent(new_grads, th[live]), th[live])
+        step[live] *= np.where(rise, _GROW, 0.5)
+        stalled[live] = np.where(gain, 0, stalled[live] + 1)
+    return vals, th, iters, stalled >= _PATIENCE
 
 
 def _run_search(objective, pooled, mean_diff, extra_axes, opts, rng) -> MswResult:
+    """The search from the default OptimizerOpts and RngStream(0) where opts or rng is None."""
+    opts, rng = opts or OptimizerOpts(), rng or RngStream(0)
     starts, coarse = _collect_starts(objective, pooled, mean_diff, extra_axes, opts, rng)
-    best_vals, best_th, iters = _ascend(objective, starts, opts)
-    idx = int(np.argmax(best_vals))  # ties resolve to the lowest start index
-    theta = best_th[idx] / np.linalg.norm(best_th[idx])
-    value = objective.certify(theta)
+    vals, th, iters, converged = _ascend(objective, starts, opts)
+    idx = int(np.argmax(vals))  # ties resolve to the lowest start index
+    value = objective.certify(th[idx])
     gap = None if coarse is None else value - coarse ** (1.0 / objective.p)
-    return MswResult(
-        value=value,
-        argmax=theta,
-        restarts_used=starts.shape[0],
-        iterations=iters,
-        oracle_gap=gap,
-    )
+    return MswResult(value, th[idx], restarts_used=starts.shape[0], iterations=iters,
+                     converged=bool(converged[idx]), oracle_gap=gap)
+
+
+def _sample_pair(xs, ys, p: float):
+    """Both samples as (n, d) arrays, once the order and the dimensions check out."""
+    if not p >= 1.0:
+        raise DomainError(f"order p must be >= 1, got {p}")
+    x, y = as_samples(xs), as_samples(ys)
+    if x.shape[1] != y.shape[1]:
+        raise DomainError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    return x, y
 
 
 def msw_empirical(xs, ys, p: float, opts: OptimizerOpts | None = None,
@@ -366,21 +386,13 @@ def msw_empirical(xs, ys, p: float, opts: OptimizerOpts | None = None,
     Sample sizes may differ; dimensions must agree. For d = 1 the sphere is
     {-1, +1} and the result is exact.
     """
-    if not p >= 1.0:
-        raise DomainError(f"order p must be >= 1, got {p}")
-    x = as_samples(xs)
-    y = as_samples(ys)
-    if x.shape[1] != y.shape[1]:
-        raise DomainError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    opts = opts or OptimizerOpts()
-    rng = rng or RngStream(0)
+    x, y = _sample_pair(xs, ys, p)
     d = x.shape[1]
     if d == 1:
         value = w1d_empirical(np.sort(x[:, 0]), np.sort(y[:, 0]), p)
         return MswResult(value, np.array([1.0]), restarts_used=0, iterations=0)
     objective = _TwoSampleObjective(x, y, p)
-    pooled = np.vstack([x, y])
-    return _run_search(objective, pooled, x.mean(0) - y.mean(0), None, opts, rng)
+    return _run_search(objective, np.vstack([x, y]), x.mean(0) - y.mean(0), None, opts, rng)
 
 
 def msw_vs_analytic(xs, spec: Gaussian, p: float, opts: OptimizerOpts | None = None,
@@ -400,8 +412,6 @@ def msw_vs_analytic(xs, spec: Gaussian, p: float, opts: OptimizerOpts | None = N
     x = as_samples(xs)
     if x.shape[1] != spec.dim:
         raise DomainError(f"dimension mismatch: samples {x.shape[1]}, spec {spec.dim}")
-    opts = opts or OptimizerOpts()
-    rng = rng or RngStream(0)
     d = x.shape[1]
     objective = _AnalyticObjective(x, spec, p)
     if d == 1:
@@ -420,30 +430,18 @@ def msw_grid_oracle(xs, ys, p: float, resolution: int) -> MswResult:
     supremum exceeds the grid maximum by at most that constant times the grid
     spacing.
     """
-    if not p >= 1.0:
-        raise DomainError(f"order p must be >= 1, got {p}")
-    x = as_samples(xs)
-    y = as_samples(ys)
-    if x.shape[1] != y.shape[1]:
-        raise DomainError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    x, y = _sample_pair(xs, ys, p)
     d = x.shape[1]
     if d not in (2, 3):
         raise UnsupportedDimensionError(f"grid oracle supports d in {{2, 3}}, got d={d}")
     objective = _TwoSampleObjective(x, y, p)
     dirs = grid_directions(d, resolution)
-    vals = _value_on_grid(objective, dirs)
-    idx = int(np.argmax(vals))
-    theta = dirs[idx]
+    theta = dirs[int(np.argmax(_value_on_grid(objective, dirs)))]
     value = objective.certify(theta)
     lipschitz = float(np.max(np.linalg.norm(x, axis=1)) + np.max(np.linalg.norm(y, axis=1)))
     spacing = 2.0 * math.pi / resolution if d == 2 else math.pi / math.sqrt(resolution)
-    return MswResult(
-        value=value,
-        argmax=theta,
-        restarts_used=resolution,
-        iterations=0,
-        oracle_gap=lipschitz * spacing,
-    )
+    return MswResult(value, theta, restarts_used=resolution, iterations=0,
+                     oracle_gap=lipschitz * spacing)
 
 
 def wasserstein_full(xs, ys, p: float) -> float:
@@ -452,12 +450,7 @@ def wasserstein_full(xs, ys, p: float) -> float:
     Limited to n <= 64 points, the scale where the exact n x n assignment
     solve stays trivially fast.
     """
-    if not p >= 1.0:
-        raise DomainError(f"order p must be >= 1, got {p}")
-    x = as_samples(xs)
-    y = as_samples(ys)
-    if x.shape[1] != y.shape[1]:
-        raise DomainError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    x, y = _sample_pair(xs, ys, p)
     if x.shape[0] != y.shape[0]:
         raise DomainError(f"equal sample sizes required, got {x.shape[0]} and {y.shape[0]}")
     if x.shape[0] > 64:

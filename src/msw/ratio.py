@@ -122,18 +122,16 @@ def ratio_sup(xs, spec: Gaussian, opts: OptimizerOpts | None = None,
               rng: RngStream | None = None) -> RatioStatResult:
     """Heuristic maximization of the ratio statistic over directions.
 
-    Runs the max-sliced optimizer's search (restarts, seed directions, step
-    and stop rules) on the batched ratio objective. The result is recomputed
-    at the returned direction, so it is a certified lower bound on the sup
-    over (theta, t).
+    Runs the max-sliced search (restarts, seed directions, the Riemannian
+    ascent's adaptive step and relative stall rule) on the batched ratio
+    objective. The result is recomputed at the returned direction, so it is a
+    certified lower bound on the sup over (theta, t).
     """
     if not isinstance(spec, Gaussian):
         raise SpecError("ratio_sup requires a Gaussian spec (closed-form projections)")
     x = as_samples(xs)
     if x.shape[1] != spec.dim:
         raise DomainError(f"dimension mismatch: samples {x.shape[1]}, spec {spec.dim}")
-    opts = opts or OptimizerOpts()
-    rng = rng or RngStream(0)
     objective = _RatioObjective(x, spec)
     if x.shape[1] == 1:
         signs = np.array([[1.0], [-1.0]])

@@ -33,7 +33,6 @@ from msw import (
     RngStream,
 )
 from msw.harness import (
-    EXPERIMENT_OPTIMIZER,
     ExperimentConfig,
     fit_loglog_slope,
     run_rate_experiment,
@@ -110,7 +109,7 @@ def _gaussian_rate_curves():
         spec = Gaussian(np.zeros(d), np.eye(d))
         cfg = ExperimentConfig(
             "rate_vs_truth", spec, p=2.0, mc_runs=50, master_seed=20260401 + d,
-            optimizer=EXPERIMENT_OPTIMIZER,
+            optimizer=OptimizerOpts(),
         )
         curves[d] = run_rate_experiment(cfg, threads=0)
     return curves
@@ -184,7 +183,7 @@ def test_criterion_05_pareto_rate_reproduction():
         for d in (2, 4):
             cfg = ExperimentConfig(
                 "rate_two_sample", ParetoProduct(8.0, d), p=2.0, mc_runs=100,
-                master_seed=3000 + d, optimizer=EXPERIMENT_OPTIMIZER,
+                master_seed=3000 + d, optimizer=OptimizerOpts(),
             )
             curve = run_rate_experiment(cfg, threads=0)
             slope, _, r2 = fit_loglog_slope(curve)
@@ -236,7 +235,7 @@ def test_criterion_08_rkhs_rate_reproduction():
     spec = RkhsPushforward(KernelSpec(4.0, 1.0), 1.0, 10)
     cfg = ExperimentConfig(
         "rkhs_rate", spec, p=2.0, mc_runs=50, master_seed=4000,
-        optimizer=EXPERIMENT_OPTIMIZER, d_test_list=(10, 20, 30),
+        optimizer=OptimizerOpts(), d_test_list=(10, 20, 30),
     )
     with criterion(8, "feature-embedding rate curves: slope band and agreement"):
         curves = run_rate_experiment(cfg, threads=0)
@@ -289,7 +288,7 @@ def test_criterion_11_determinism_across_workers():
     spec = Gaussian(np.zeros(2), np.eye(2))
     cfg = ExperimentConfig(
         "rate_vs_truth", spec, p=2.0, n_grid=(50,), mc_runs=50,
-        master_seed=20260403, optimizer=EXPERIMENT_OPTIMIZER,
+        master_seed=20260403, optimizer=OptimizerOpts(),
     )
     with criterion(11, "experiments are bit-identical at 1 and 8 workers"):
         one = run_rate_experiment(cfg, threads=1)

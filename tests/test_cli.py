@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 from pathlib import Path
@@ -188,6 +189,23 @@ def test_exit_codes(tmp_path, capsys):
         out = tmp_path / "malformed.csv"
         assert main(["rate", "--config", str(bad_cfg), "--out", str(out)]) == 2, line
         assert not out.exists() and not out.with_suffix(".meta.json").exists()
+    # keys the experiment never reads, and a d that disagrees with a list mean -> config error,
+    # before any trial runs
+    ratio_cfg = "experiment = ratio_exceedance\nd = 2\nn_grid = 20\nmc_runs = 1\n"
+    for command, text in (
+        ("ratio", ratio_cfg + "p = 3\n"),
+        ("ratio", ratio_cfg + "overlay_kind = finite\n"),
+        ("ratio", ratio_cfg + "overlay_s = 5\n"),
+        ("ratio", ratio_cfg + "d_test_list = 5, 7\n"),
+        ("rate", good.read_text() + "d_test_list = 5, 7\n"),
+        ("rate", good.read_text() + "eps_grid = 0.1, 0.5\n"),
+        ("rate", good.read_text().replace("d = 2", "d = 3") + "mean = 0, 1\n"),
+    ):
+        unread = tmp_path / "unread.cfg"
+        unread.write_text(text)
+        out = tmp_path / "unread.csv"
+        assert main([command, "--config", str(unread), "--out", str(out)]) == 2, text
+        assert not out.exists() and not out.with_suffix(".meta.json").exists()
     # zero restarts -> config error, like a negative count
     pts = tmp_path / "pts.csv"
     write_samples(pts, np.random.default_rng(2).normal(size=(6, 2)))
@@ -219,3 +237,26 @@ def test_readme_documents_every_config_key():
     section = readme.split("### Config files", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"`(\w+)", section)) | set(re.findall(r"^(\w+) =", section, re.M))
     assert sorted(CONFIG_KINDS.keys() - documented) == []
+
+
+def test_compute_reports_convergence(tmp_path):
+    rng = np.random.default_rng(3)
+    x, y, out = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "out.json"
+    write_samples(x, rng.normal(size=(40, 3)))
+    write_samples(y, rng.normal(size=(30, 3)) + 1.0)
+    assert main(["compute", str(x), str(y), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["converged"] is True
+    assert payload["iterations"] < 200
+
+
+def test_benchmark_configs_load(tmp_path, monkeypatch):
+    # every config that perfbench/workloads.py writes sets only keys its experiment reads
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for workload in ("vs_truth", "rkhs_two_sample", "ratio"):
+        workloads.make_ops(workload, 7, tmp_path)
+    configs = sorted(tmp_path.glob("*.cfg"))
+    assert len(configs) == 5
+    for cfg in configs:
+        config_from_mapping(parse_config_file(cfg))

@@ -1,5 +1,6 @@
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from msw import (
     RngStream,
     sample,
 )
+from msw import harness
 from msw.bounds import BoundParams
 from msw.harness import (
-    EXPERIMENT_OPTIMIZER,
     ExperimentConfig,
     Overlay,
     RateCurve,
@@ -169,7 +170,7 @@ def test_rkhs_rate_returns_curve_per_truncation():
 @pytest.mark.slow
 def test_vs_truth_means_decrease_monotonically():
     cfg = ExperimentConfig("rate_vs_truth", GAUSS2, n_grid=(100, 200, 400, 800),
-                           mc_runs=40, master_seed=606, optimizer=EXPERIMENT_OPTIMIZER)
+                           mc_runs=40, master_seed=606, optimizer=OptimizerOpts())
     curve = run_rate_experiment(cfg, threads=0)
     slack = 3.0 * (curve.stderr[:-1] + curve.stderr[1:])
     assert np.all(np.diff(curve.mean) < slack)
@@ -221,3 +222,34 @@ def test_config_validation_errors():
         run_rate_experiment(
             ExperimentConfig("ratio_exceedance", GAUSS2, n_grid=(8,), mc_runs=1)
         )
+
+
+def test_worker_pool_is_capped_at_the_item_count(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs each item inline."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    cfg = ExperimentConfig("rate_two_sample", GAUSS2, n_grid=(8, 16), mc_runs=2,
+                           master_seed=5, optimizer=TINY_OPT)
+    capped = run_rate_experiment(cfg, threads=5000)
+    ratio_cfg = ExperimentConfig("ratio_exceedance", GAUSS2, n_grid=(20,), mc_runs=3,
+                                 master_seed=5, optimizer=TINY_OPT)
+    run_ratio_experiment(ratio_cfg, (0.1,), threads=5000)
+    assert sizes == [4, 3]
+    assert capped.same_statistics(run_rate_experiment(cfg, threads=1))
