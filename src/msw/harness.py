@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -55,9 +56,10 @@ _OVERLAY_FORMULAS = {
 class Overlay:
     """An expectation-bound curve to emit next to the empirical means.
 
-    The emitted value is the bound on E[W̄_p^p] as the formula gives it, while
-    the means estimate E[W̄_p]; compare mean with bound ** (1 / p). The kind
-    and the inputs its formula needs are checked on construction.
+    evaluate(n) is the formula's bound on E[W̄_p^p]. The means estimate
+    E[W̄_p], so the emitted column is its p-th root, which bounds E[W̄_p] by
+    Jensen's inequality. The kind and the inputs its formula needs are checked
+    on construction.
     """
 
     kind: str
@@ -201,12 +203,31 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
-def _meta(config: ExperimentConfig) -> dict:
+def _environment(workers: int) -> dict:
+    """The library versions, CPU count and worker count of a run."""
+    import scipy  # the bare package loads no submodule
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "workers": workers,
+    }
+
+
+def _meta(config: ExperimentConfig, workers: int) -> dict:
+    """The config, seed and content hash of a run, and its environment.
+
+    content_hash covers the config only, so it is the same for any worker
+    count; the statistics are bit-identical only for fixed library versions.
+    """
     blob = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
     return {
         "config": config_to_dict(config),
         "master_seed": config.master_seed,
         "content_hash": hashlib.sha256(blob.encode()).hexdigest(),
+        "environment": _environment(workers),
     }
 
 
@@ -256,10 +277,10 @@ def _ratio_trial(config: ExperimentConfig, n_index: int, trial: int):
 def _run_items(worker, config: ExperimentConfig, threads: int):
     """Run worker on every (n index, trial) item of the config.
 
-    Returns the values, shape (values per trial, len(n_grid), mc_runs), and
-    the wall times, shape (len(n_grid), mc_runs). Results are collected in
-    item order, so they do not depend on how the items are scheduled. The
-    pool never has more workers than items.
+    Returns the values, shape (values per trial, len(n_grid), mc_runs), the
+    wall times, shape (len(n_grid), mc_runs), and the worker count. Results
+    are collected in item order, so they do not depend on how the items are
+    scheduled. The pool never has more workers than items.
     """
     if threads < 0:
         raise DomainError(f"thread count must be >= 0, got {threads}")
@@ -268,15 +289,19 @@ def _run_items(worker, config: ExperimentConfig, threads: int):
     if threads == 1:
         results = [worker(config, *it) for it in items]
     else:
+        # loaded once here: the forked workers inherit it instead of each
+        # importing it on its first objective
+        import scipy.special  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(worker, config, *it) for it in items]
             results = [f.result() for f in futures]
     shape = (len(config.n_grid), config.mc_runs)
     values = np.array([v for v, _ in results]).T.reshape(-1, *shape)
-    return values, np.array([w for _, w in results]).reshape(shape)
+    return values, np.array([w for _, w in results]).reshape(shape), threads
 
 
-def _aggregate(config: ExperimentConfig, vals: np.ndarray, walls: np.ndarray) -> RateCurve:
+def _aggregate(config: ExperimentConfig, vals: np.ndarray, walls: np.ndarray, workers: int) -> RateCurve:
     n_count = len(config.n_grid)
     if config.mc_runs > 1:
         stderrs = vals.std(axis=1, ddof=1) / math.sqrt(config.mc_runs)
@@ -284,14 +309,14 @@ def _aggregate(config: ExperimentConfig, vals: np.ndarray, walls: np.ndarray) ->
         stderrs = np.zeros(n_count)
     bound = None
     if config.overlay is not None:
-        bound = np.array([config.overlay.evaluate(n) for n in config.n_grid])
+        bound = np.array([config.overlay.evaluate(n) ** (1.0 / config.p) for n in config.n_grid])
     return RateCurve(
         n=np.array(config.n_grid, dtype=np.int64),
         mean=vals.mean(axis=1),
         stderr=stderrs,
         runs=np.full(n_count, config.mc_runs, dtype=np.int64),
         wall_s=walls.mean(axis=1),
-        meta=_meta(config),
+        meta=_meta(config, workers),
         bound=bound,
     )
 
@@ -305,10 +330,10 @@ def run_rate_experiment(config: ExperimentConfig, threads: int = 1):
     """
     if config.experiment not in ("rate_vs_truth", "rate_two_sample", "rkhs_rate"):
         raise ConfigError(f"run_rate_experiment cannot run {config.experiment!r}")
-    values, walls = _run_items(_rate_trial, config, threads)
+    values, walls, workers = _run_items(_rate_trial, config, threads)
     if config.experiment == "rkhs_rate":
-        return {dt: _aggregate(config, v, walls) for dt, v in zip(config.d_test_list, values)}
-    return _aggregate(config, values[0], walls)
+        return {dt: _aggregate(config, v, walls, workers) for dt, v in zip(config.d_test_list, values)}
+    return _aggregate(config, values[0], walls, workers)
 
 
 def run_ratio_experiment(config: ExperimentConfig, eps_grid, threads: int = 1) -> RatioTable:
@@ -319,7 +344,7 @@ def run_ratio_experiment(config: ExperimentConfig, eps_grid, threads: int = 1) -
     if eps_grid.ndim != 1 or eps_grid.size < 1 or np.any(eps_grid < 0.0):
         raise ConfigError("eps_grid must be a nonempty vector of nonnegative thresholds")
     d = config.spec.dim
-    values, _ = _run_items(_ratio_trial, config, threads)
+    values, _, workers = _run_items(_ratio_trial, config, threads)
     rows = [
         (n, float(eps), float(np.mean(values[0, i] >= eps)), ratio_tail_bound(n, d, float(eps)))
         for i, n in enumerate(config.n_grid)
@@ -333,7 +358,7 @@ def run_ratio_experiment(config: ExperimentConfig, eps_grid, threads: int = 1) -
         bound=np.array([b.clipped for b in bounds]),
         bound_raw=np.array([b.raw for b in bounds]),
         runs=np.full(len(n), config.mc_runs, dtype=np.int64),
-        meta=_meta(config),
+        meta=_meta(config, workers),
     )
 
 
@@ -367,8 +392,8 @@ def emit(obj, format: str, path) -> None:
 
     CSV uses '.' decimals, LF line endings, UTF-8, and round-trippable float
     repr; JSON mirrors the same fields as one object per row. The metadata
-    (full config, master seed, content hash) lands next to the output as
-    <stem>.meta.json.
+    (full config, master seed, content hash, run environment) lands next to
+    the output as <stem>.meta.json.
     """
     if format not in ("csv", "json"):
         raise DomainError(f"format must be 'csv' or 'json', got {format!r}")

@@ -20,9 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
-from scipy.special import ndtri
 
 from .errors import DomainError, ScaleError, SpecError, UnsupportedDimensionError
 from .measures import Gaussian, RngStream, as_samples
@@ -207,6 +204,8 @@ class _AnalyticObjective:
     """
 
     def __init__(self, x: np.ndarray, spec: Gaussian, p: float):
+        from scipy.special import ndtri
+
         self.x, self.p = x, p
         self.mean, self.cov = spec.mean, spec.cov
         n = x.shape[0]
@@ -455,6 +454,9 @@ def wasserstein_full(xs, ys, p: float) -> float:
         raise DomainError(f"equal sample sizes required, got {x.shape[0]} and {y.shape[0]}")
     if x.shape[0] > 64:
         raise ScaleError(f"exact assignment is limited to n <= 64, got n={x.shape[0]}")
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     cost = cdist(x, y) ** p
     rows, cols = linear_sum_assignment(cost)
     return float(np.mean(cost[rows, cols]) ** (1.0 / p))

@@ -6,7 +6,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, NumericError
 from .measures import as_samples
@@ -58,6 +57,8 @@ class AnalyticCdf1d:
 
 def gaussian_law(mean: float, var: float) -> AnalyticCdf1d:
     """N(mean, var) as an AnalyticCdf1d; var may be tiny but must be positive."""
+    from scipy.special import ndtr, ndtri
+
     if not var > 0.0:
         raise DomainError(f"variance must be positive, got {var}")
     sd = float(np.sqrt(var))

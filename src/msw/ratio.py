@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DomainError, NumericError, ScaleError, SpecError
 from .maxsliced import OptimizerOpts, _normalize_rows, _run_search, _value_on_grid
@@ -100,6 +99,8 @@ class _RatioObjective:
         self.fn = (np.arange(x.shape[0] + 1) / x.shape[0])[:, None]  # F_n(t_i-), F_n(t_i)
 
     def value(self, th: np.ndarray) -> np.ndarray:
+        from scipy.special import ndtr
+
         var = np.einsum("rd,rd->r", th @ self.spec.cov, th)
         sd = np.sqrt(np.maximum(var, 1e-300))
         f = ndtr((np.sort(self.x @ th.T, axis=0) - th @ self.spec.mean) / sd)

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import platform
 from concurrent.futures import Future
 
 import numpy as np
@@ -17,7 +19,7 @@ from msw import (
     sample,
 )
 from msw import harness
-from msw.bounds import BoundParams
+from msw.bounds import BoundParams, expectation_bound_finite
 from msw.harness import (
     ExperimentConfig,
     Overlay,
@@ -102,6 +104,32 @@ def test_emit_overlay_column(tmp_path):
     header = out.read_text().splitlines()[0]
     assert header == "n,mean,stderr,runs,wall_s,bound"
     assert load_rate_curve(out, "csv").same_statistics(curve)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_overlay_column_is_the_pth_root_of_the_formula(p):
+    params = BoundParams(p=p, s=2 * p + 1, d=2)
+    cfg = ExperimentConfig("rate_two_sample", GAUSS2, p=p, n_grid=(8, 16), mc_runs=1,
+                           master_seed=5, optimizer=TINY_OPT, overlay=Overlay("finite", params))
+    curve = run_rate_experiment(cfg)
+    expected = [expectation_bound_finite(params, n) ** (1 / p) for n in (8, 16)]
+    assert curve.bound.tolist() == expected
+
+
+def test_meta_records_the_run_environment(tmp_path):
+    import scipy
+
+    cfg = ExperimentConfig("rate_two_sample", GAUSS2, n_grid=(8,), mc_runs=2,
+                           master_seed=5, optimizer=TINY_OPT)
+    one, two = run_rate_experiment(cfg, threads=1), run_rate_experiment(cfg, threads=2)
+    assert one.meta["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(), "workers": 1,
+    }
+    assert two.meta["environment"]["workers"] == 2
+    assert one.meta["content_hash"] == two.meta["content_hash"]
+    emit(two, "csv", tmp_path / "c.csv")
+    assert json.loads((tmp_path / "c.meta.json").read_text())["environment"] == two.meta["environment"]
 
 
 def test_same_seed_same_statistics_and_new_seed_differs():
