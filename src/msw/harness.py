@@ -289,9 +289,11 @@ def _run_items(worker, config: ExperimentConfig, threads: int):
     if threads == 1:
         results = [worker(config, *it) for it in items]
     else:
-        # loaded once here: the forked workers inherit it instead of each
-        # importing it on its first objective
-        import scipy.special  # noqa: F401
+        if config.experiment == "ratio_exceedance":
+            # the ratio statistic's normal cdf comes from scipy.special: loaded
+            # once here, the forked workers inherit it instead of each
+            # importing it on its first objective
+            import scipy.special  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(worker, config, *it) for it in items]

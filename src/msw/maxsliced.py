@@ -26,6 +26,7 @@ from .measures import Gaussian, RngStream, as_samples
 from .ot1d import (
     _integration_cells,
     _leggauss,
+    _ndtri,
     gaussian_law,
     project,
     quantile_blocks,
@@ -196,7 +197,8 @@ class _AnalyticObjective:
     g, which depends on n only. Quadrature serves p != 2 only: the standard
     normal quantiles at _OPT_NODES Gauss-Legendre nodes per block depend on n
     only, so they are precomputed once, and each direction costs a weighted
-    power sum over them.
+    power sum over them. Both the z_i and the nodes' quantiles come from
+    ot1d._ndtri, which matches scipy's ndtri bit for bit and loads no scipy.
 
     value sorts the values only; value_and_grad sorts with _argsort_columns,
     where a direction whose projections tie is sorted once more, stably, so
@@ -204,15 +206,13 @@ class _AnalyticObjective:
     """
 
     def __init__(self, x: np.ndarray, spec: Gaussian, p: float):
-        from scipy.special import ndtri
-
         self.x, self.p = x, p
         self.mean, self.cov = spec.mean, spec.cov
         n = x.shape[0]
         if p == 2.0:
             self.per_direction = n
             pdf = np.zeros(n + 1)
-            z = ndtri(np.arange(1, n) / n)
+            z = _ndtri(np.arange(1, n) / n)
             pdf[1:-1] = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
             self.g = pdf[:-1] - pdf[1:]
         else:
@@ -221,7 +221,7 @@ class _AnalyticObjective:
             t, v = _leggauss(_OPT_NODES)
             u = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t[None, :]
             self.wq = 0.5 * (hi - lo)[:, None] * v[None, :]  # (n, K)
-            self.z = ndtri(u)
+            self.z = _ndtri(u)
 
     def _scale(self, th: np.ndarray):
         """<theta, mean>, Sigma theta and the projected sd s, per row of th."""

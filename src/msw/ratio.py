@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DomainError, NumericError, ScaleError, SpecError
 from .maxsliced import OptimizerOpts, _normalize_rows, _run_search, _value_on_grid
 from .measures import Gaussian, RngStream, as_samples
-from .ot1d import AnalyticCdf1d, gaussian_law, project
+from .ot1d import AnalyticCdf1d, _ndtr, gaussian_law, project
 
 _BRANCH_TRUTH = "truth_minus_empirical"      # (F - F_n) / sqrt(F)
 _BRANCH_EMPIRICAL = "empirical_minus_truth"  # (F_n - F) / sqrt(F_n)
@@ -99,11 +99,9 @@ class _RatioObjective:
         self.fn = (np.arange(x.shape[0] + 1) / x.shape[0])[:, None]  # F_n(t_i-), F_n(t_i)
 
     def value(self, th: np.ndarray) -> np.ndarray:
-        from scipy.special import ndtr
-
         var = np.einsum("rd,rd->r", th @ self.spec.cov, th)
         sd = np.sqrt(np.maximum(var, 1e-300))
-        f = ndtr((np.sort(self.x @ th.T, axis=0) - th @ self.spec.mean) / sd)
+        f = _ndtr((np.sort(self.x @ th.T, axis=0) - th @ self.spec.mean) / sd)
         cand = np.maximum(_candidate_ratios(f, self.fn[1:]), _candidate_ratios(f, self.fn[:-1]))
         return cand.max(axis=0)
 

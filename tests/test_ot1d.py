@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from msw import DomainError, empirical_law, gaussian_law, project, w1d_empirical, w1d_vs_cdf
+from msw.harness import DEFAULT_N_GRID
+from msw.ot1d import _integration_cells, _leggauss, _ndtri
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0)
 small_samples = st.lists(finite_floats, min_size=1, max_size=9).map(sorted)
@@ -165,3 +167,48 @@ def test_gaussian_law_roundtrip_invariant():
     strict = (u > 1e-14) & (u < 1.0 - 1e-14)
     assert np.max(np.abs(law.quantile(u[strict]) - t[strict])) < 1e-8
     assert np.all(np.diff(u) >= 0.0)
+
+
+# the sample sizes of the default rate grid, plus the edges of the block grid
+NDTRI_SIZES = sorted(set(DEFAULT_N_GRID) | {1, 2, 3, 6000})
+
+
+def quadrature_nodes(n: int, k: int) -> np.ndarray:
+    """The k Gauss-Legendre nodes per block at which the analytic objective
+    (k = 8) and w1d_vs_cdf (k = 32) evaluate the normal quantile."""
+    lo, hi, _ = _integration_cells(n, None)
+    t, _ = _leggauss(k)
+    return (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t).ravel()
+
+
+def test_ndtri_matches_scipy_on_the_block_grid_and_nodes():
+    # the quantiles every statistic is computed from are bit-identical
+    mismatched = [n for n in [*range(1, 1601), 6000]
+                  if not np.array_equal(_ndtri(np.arange(1, n) / n), ndtri(np.arange(1, n) / n))]
+    mismatched += [(n, k) for n in NDTRI_SIZES for k in (8, 32)
+                   if not np.array_equal(_ndtri(quadrature_nodes(n, k)), ndtri(quadrature_nodes(n, k)))]
+    assert mismatched == []
+
+
+def test_ndtri_within_4_ulp_of_scipy():
+    rng = np.random.default_rng(17)
+    u = np.concatenate([
+        rng.random(400_000),
+        10.0 ** rng.uniform(-300.0, -1.0, 300_000),
+        1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 300_000),
+        *(quadrature_nodes(n, k) for n in NDTRI_SIZES for k in (8, 32)),
+    ])
+    ours, ref = _ndtri(u), ndtri(u)
+    finite = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(ours), finite)
+    ulps = np.abs(ours[finite] - ref[finite]) / np.spacing(np.abs(ref[finite]))
+    assert ulps.max() <= 4.0
+
+
+def test_ndtri_edges_match_scipy():
+    u = np.array([0.0, -0.0, 1.0, -1e-300, -1.0, 1.0 + 2.0**-52, 2.0, np.inf, -np.inf, np.nan])
+    out = _ndtri(u)
+    assert out[0] == out[1] == -np.inf
+    assert out[2] == np.inf
+    assert np.all(np.isnan(out[3:]))
+    np.testing.assert_array_equal(out, ndtri(u))
