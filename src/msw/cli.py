@@ -37,7 +37,7 @@ CONFIG_KINDS = {
     "restarts": "integer", "max_iters": "integer", "n_grid": "integers", "d_test_list": "integers",
     "p": "number", "shape": "number", "sigma2": "number", "w": "number", "eta2": "number",
     "overlay_s": "number", "overlay_gamma": "number", "overlay_c": "number", "overlay_C": "number",
-    "tol": "number", "mean": "numbers", "eps_grid": "numbers",
+    "mean": "numbers", "eps_grid": "numbers",
 }
 # keys that only some experiments read; any other experiment rejects them
 _RATE = ("rate_vs_truth", "rate_two_sample", "rkhs_rate")
@@ -193,7 +193,7 @@ def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, .
         raise ConfigError("config must set 'experiment'")
     spec = _build_spec(m)
     p = m.get("p", 2.0)
-    optimizer = {k: m[k] for k in ("restarts", "max_iters", "tol") if k in m}
+    optimizer = {k: m[k] for k in ("restarts", "max_iters") if k in m}
     config = ExperimentConfig(
         experiment=m["experiment"],
         spec=spec,

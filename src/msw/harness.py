@@ -204,12 +204,23 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def _environment(workers: int) -> dict:
-    """The library versions, CPU count and worker count of a run."""
-    import scipy  # the bare package loads no submodule
+    """The library versions, numpy's CPU dispatch, CPU count and worker count of a run.
 
+    numpy_cpu is numpy's compiled-in baseline and the dispatch targets this host
+    enables: on another CPU one numpy version may run other SIMD loops (np.log,
+    np.exp), whose results can differ in the last bits.
+    """
+    import scipy  # the bare package loads no submodule
+    from numpy._core import _multiarray_umath as umath
+
+    features = umath.__cpu_features__
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "numpy_cpu": {
+            "baseline": list(umath.__cpu_baseline__),
+            "dispatch": [t for t in umath.__cpu_dispatch__ if features.get(t)],
+        },
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
         "workers": workers,

@@ -7,10 +7,8 @@ all live starts are iterated in lockstep as one batched array pass, which is
 what makes the Monte Carlo experiments affordable. Reported values are
 certified lower bounds: the distance is recomputed at the returned direction.
 
-_run_search takes any objective with this protocol: p, the order (the oracle
-gap is reported on the p-th root); per_direction, the array elements one
-direction costs in value, which sizes the chunks of _value_on_grid; value and
-value_and_grad, batched over the rows of a direction matrix; and certify, the
+_run_search takes any objective with this three-member protocol: value and
+value_and_grad, batched over the rows of a direction matrix, and certify, the
 value recomputed from scratch at one direction. msw.ratio runs the ratio
 statistic through the same search.
 """
@@ -34,37 +32,36 @@ from .ot1d import (
     w1d_vs_cdf,
 )
 
-# coarse direction grids used only to seed the local search in low dimension
+# direction grids used only to seed the local search in low dimension
 _SEED_GRID = {2: 256, 3: 1024}
+# directions per value call in _value_on_grid
+_GRID_BLOCK = 64
 # quadrature order for the analytic objective during iteration, used only at
 # p != 2 (p = 2 has a closed form); the final certificate is recomputed at the
 # full default order of w1d_vs_cdf
 _OPT_NODES = 8
 # each start's first step and its growth after a rise (it halves after a
-# fall); a start stops after _PATIENCE tries without a relative gain of tol
-_STEP0, _GROW, _PATIENCE = 0.1, 1.5, 10
+# fall); a start stops after _PATIENCE tries without a relative gain of _TOL
+_STEP0, _GROW, _PATIENCE, _TOL = 0.1, 1.5, 10, 1e-7
 
 
 @dataclass(frozen=True)
 class OptimizerOpts:
     """Knobs of the Riemannian ascent, one preset for every caller.
 
-    tol is a relative stall threshold: a start stops once _PATIENCE tries in
-    a row fail to raise its value by more than tol times that value, or after
-    max_iters iterations; the step rule is fixed (see _ascend).
+    restarts is the number of random starts, which the seed directions join;
+    max_iters caps the ascent's iterations. The step rule and the relative
+    stall threshold _TOL are fixed (see _ascend).
     """
 
     restarts: int = 6
     max_iters: int = 200
-    tol: float = 1e-7
 
     def __post_init__(self):
         if self.restarts < 1:
             raise DomainError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise DomainError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol > 0.0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -74,9 +71,8 @@ class MswResult:
     value is recomputed at argmax after the search, so it is a certified lower
     bound on the true supremum. converged is whether the winning start stopped
     on the stall rule before max_iters; results without a search count as
-    converged. oracle_gap is value minus the best coarse-grid value when a
-    grid seed was used, or the sup-error bound of the grid itself when the
-    result comes from msw_grid_oracle.
+    converged. oracle_gap is set only by msw_grid_oracle: the sup-error bound
+    of its direction grid.
     """
 
     value: float
@@ -137,7 +133,6 @@ class _TwoSampleObjective:
 
     def __init__(self, x: np.ndarray, y: np.ndarray, p: float):
         self.x, self.y, self.p = x, y, p
-        self.per_direction = max(x.shape[0], y.shape[0])
         self.equal = x.shape[0] == y.shape[0]
         if not self.equal:
             w, xi, yj = quantile_blocks(x.shape[0], y.shape[0])
@@ -210,13 +205,11 @@ class _AnalyticObjective:
         self.mean, self.cov = spec.mean, spec.cov
         n = x.shape[0]
         if p == 2.0:
-            self.per_direction = n
             pdf = np.zeros(n + 1)
             z = _ndtri(np.arange(1, n) / n)
             pdf[1:-1] = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
             self.g = pdf[:-1] - pdf[1:]
         else:
-            self.per_direction = n * _OPT_NODES
             lo, hi, _ = _integration_cells(n, None)
             t, v = _leggauss(_OPT_NODES)
             u = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t[None, :]
@@ -283,22 +276,24 @@ class _AnalyticObjective:
 
 
 def _value_on_grid(objective, dirs: np.ndarray) -> np.ndarray:
-    """Objective values over many directions, chunked to bound memory."""
-    chunk = max(64, int(4_000_000 / max(objective.per_direction, 1)))
-    out = np.empty(dirs.shape[0])
-    for k in range(0, dirs.shape[0], chunk):
-        out[k : k + chunk] = objective.value(dirs[k : k + chunk])
-    return out
+    """Objective values over many directions, _GRID_BLOCK directions per call.
+
+    The fixed width bounds memory by one block of the objective's work arrays,
+    and it makes each value's bits depend on its block only, not on n or on
+    the grid's length.
+    """
+    return np.concatenate([
+        objective.value(dirs[k : k + _GRID_BLOCK]) for k in range(0, dirs.shape[0], _GRID_BLOCK)
+    ])
 
 
 def _collect_starts(objective, pooled: np.ndarray, mean_diff: np.ndarray,
                     extra_axes: np.ndarray | None, opts: OptimizerOpts, rng: RngStream):
-    """Random restarts plus seed directions; returns (starts, coarse grid value)."""
+    """Random restarts plus seed directions, as unit rows."""
     d = pooled.shape[1]
     rows = [
         rng.child(r).generator().standard_normal(d) for r in range(opts.restarts)
     ]
-    coarse = None
     centered = pooled - pooled.mean(axis=0)
     if pooled.shape[0] > 1:
         _, vecs = np.linalg.eigh(centered.T @ centered)
@@ -309,11 +304,8 @@ def _collect_starts(objective, pooled: np.ndarray, mean_diff: np.ndarray,
         rows.append(mean_diff)
     if d in _SEED_GRID:
         dirs = grid_directions(d, _SEED_GRID[d])
-        vals = _value_on_grid(objective, dirs)
-        best = int(np.argmax(vals))
-        rows.append(dirs[best])
-        coarse = float(vals[best])
-    return _normalize_rows(np.asarray(rows)), coarse
+        rows.append(dirs[int(np.argmax(_value_on_grid(objective, dirs)))])
+    return _normalize_rows(np.asarray(rows))
 
 
 def _tangent(v: np.ndarray, th: np.ndarray) -> np.ndarray:
@@ -333,7 +325,7 @@ def _ascend(objective, starts: np.ndarray, opts: OptimizerOpts):
     _GROW after a rise and halves after a fall. Only unit directions and
     value comparisons enter, so the rule is free of the data's units. A
     start stops after _PATIENCE tries in a row without a relative gain of
-    opts.tol; only live starts are evaluated. Returns the values, the
+    _TOL; only live starts are evaluated. Returns the values, the
     directions, the iteration count and which starts stopped on a stall.
     """
     th = starts.copy()
@@ -348,7 +340,7 @@ def _ascend(objective, starts: np.ndarray, opts: OptimizerOpts):
         trial = _normalize_rows(th[live] + step[live, None] * u[live])
         new_vals, new_grads = objective.value_and_grad(trial)
         rise = new_vals > vals[live]
-        gain = new_vals - vals[live] > opts.tol * vals[live]
+        gain = new_vals - vals[live] > _TOL * vals[live]
         th[live[rise]], vals[live[rise]] = trial[rise], new_vals[rise]
         u[live] = _tangent(u[live] + _tangent(new_grads, th[live]), th[live])
         step[live] *= np.where(rise, _GROW, 0.5)
@@ -359,13 +351,11 @@ def _ascend(objective, starts: np.ndarray, opts: OptimizerOpts):
 def _run_search(objective, pooled, mean_diff, extra_axes, opts, rng) -> MswResult:
     """The search from the default OptimizerOpts and RngStream(0) where opts or rng is None."""
     opts, rng = opts or OptimizerOpts(), rng or RngStream(0)
-    starts, coarse = _collect_starts(objective, pooled, mean_diff, extra_axes, opts, rng)
+    starts = _collect_starts(objective, pooled, mean_diff, extra_axes, opts, rng)
     vals, th, iters, converged = _ascend(objective, starts, opts)
     idx = int(np.argmax(vals))  # ties resolve to the lowest start index
-    value = objective.certify(th[idx])
-    gap = None if coarse is None else value - coarse ** (1.0 / objective.p)
-    return MswResult(value, th[idx], restarts_used=starts.shape[0], iterations=iters,
-                     converged=bool(converged[idx]), oracle_gap=gap)
+    return MswResult(objective.certify(th[idx]), th[idx], restarts_used=starts.shape[0],
+                     iterations=iters, converged=bool(converged[idx]))
 
 
 def _sample_pair(xs, ys, p: float):

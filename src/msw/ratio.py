@@ -85,17 +85,14 @@ class _RatioObjective:
 
     value(rows) is ratio_fixed_direction's value for every row at once. The
     statistic has no closed-form derivative, so value_and_grad returns
-    central differences, evaluated as 2d extra rows per direction in the same
-    batched value pass. p = 1 makes the search's oracle gap a plain difference.
-    certify is value at one direction; ratio_sup recomputes the full result
-    with ratio_fixed_direction at the winning direction only.
+    central differences, evaluated as 2d extra rows per direction through
+    _value_on_grid's fixed blocks. certify is value at one direction;
+    ratio_sup recomputes the full result with ratio_fixed_direction at the
+    winning direction only.
     """
-
-    p = 1.0
 
     def __init__(self, x: np.ndarray, spec: Gaussian):
         self.x, self.spec = x, spec
-        self.per_direction = x.shape[0] + 1
         self.fn = (np.arange(x.shape[0] + 1) / x.shape[0])[:, None]  # F_n(t_i-), F_n(t_i)
 
     def value(self, th: np.ndarray) -> np.ndarray:

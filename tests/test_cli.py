@@ -54,18 +54,15 @@ d = 2
 n_grid = 10, 20, 40
 mc_runs = 3
 master_seed = 7
-tol = 1e-7
 """
     )
     mapping = parse_config_file(cfg)
     assert mapping["experiment"] == "rate_two_sample"
     assert mapping["n_grid"] == [10, 20, 40]
-    assert mapping["tol"] == 1e-7
     config, eps = config_from_mapping(mapping)
     assert isinstance(config.spec, ParetoProduct)
     assert config.n_grid == (10, 20, 40)
     assert config.mc_runs == 3
-    assert config.optimizer.tol == 1e-7
     assert len(eps) > 0
 
 
@@ -168,11 +165,12 @@ def test_exit_codes(tmp_path, capsys):
     typo = tmp_path / "typo.cfg"
     typo.write_text(good.read_text() + "restrats = 3\n")
     assert main(["rate", "--config", str(typo), "--out", str(tmp_path / "o.csv")]) == 2
-    # removed optimizer knob -> config error as an unknown key
-    knob = tmp_path / "knob.cfg"
-    knob.write_text(good.read_text() + "step_decay = 0.5\n")
-    assert main(["rate", "--config", str(knob), "--out", str(tmp_path / "o.csv")]) == 2
-    assert "unknown config keys: step_decay" in capsys.readouterr().err
+    # removed optimizer knobs -> config error as an unknown key
+    for line, key in (("step_decay = 0.5", "step_decay"), ("tol = 1e-7", "tol")):
+        knob = tmp_path / "knob.cfg"
+        knob.write_text(good.read_text() + line + "\n")
+        assert main(["rate", "--config", str(knob), "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
     # non-integer or boolean values of integer keys -> config error naming the key
     for line, key in (("max_iters = 2.5", "max_iters"), ("restarts = true", "restarts"),
                       ("mc_runs = 2.5", "mc_runs"), ("n_grid = 8.5, 16", "n_grid")):

@@ -118,13 +118,17 @@ def test_overlay_column_is_the_pth_root_of_the_formula(p):
 
 def test_meta_records_the_run_environment(tmp_path):
     import scipy
+    from numpy._core import _multiarray_umath as umath
 
     cfg = ExperimentConfig("rate_two_sample", GAUSS2, n_grid=(8,), mc_runs=2,
                            master_seed=5, optimizer=TINY_OPT)
     one, two = run_rate_experiment(cfg, threads=1), run_rate_experiment(cfg, threads=2)
+    # numpy's baseline and the dispatch targets this host enables
+    cpu = {"baseline": list(umath.__cpu_baseline__),
+           "dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]}
     assert one.meta["environment"] == {
-        "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
-        "cpu_count": os.cpu_count(), "workers": 1,
+        "python": platform.python_version(), "numpy": np.__version__, "numpy_cpu": cpu,
+        "scipy": scipy.__version__, "cpu_count": os.cpu_count(), "workers": 1,
     }
     assert two.meta["environment"]["workers"] == 2
     assert one.meta["content_hash"] == two.meta["content_hash"]

@@ -23,15 +23,18 @@ from msw import (
     wasserstein_full,
 )
 from msw.maxsliced import (
+    _GRID_BLOCK,
     _SEED_GRID,
     _AnalyticObjective,
     _argsort_columns,
     _collect_starts,
     _normalize_rows,
+    _run_search,
     _TwoSampleObjective,
     _value_on_grid,
     grid_directions,
 )
+from msw.ratio import _RatioObjective
 
 FAST = OptimizerOpts(restarts=8, max_iters=120)
 
@@ -178,8 +181,6 @@ def test_msw_errors():
         msw_grid_oracle(np.zeros((2, 4)), np.zeros((2, 4)), 2.0, 100)
     with pytest.raises(DomainError):
         OptimizerOpts(restarts=0)
-    with pytest.raises(DomainError):
-        OptimizerOpts(tol=0.0)
 
 
 def test_vs_analytic_point_at_mean_isotropic():
@@ -369,20 +370,64 @@ def test_grid_oracle_memory_follows_the_larger_sample():
 
 
 def test_analytic_seed_grid_memory_follows_the_quadrature_nodes():
-    # at p != 2 each direction costs n * _OPT_NODES elements, not n: at d = 3
-    # and n = 1600 the 1024-direction seed grid must not be one 312 MiB chunk
-    rng = np.random.default_rng(98)
-    x = rng.normal(size=(1600, 3))
-    obj = _AnalyticObjective(x, Gaussian(np.zeros(3), np.eye(3)), 3.0)
+    # the 1024-direction d = 3 seed grid runs in fixed blocks of _GRID_BLOCK
+    # directions: memory follows one block (at p != 2, n * _OPT_NODES elements
+    # per direction), and each block's values are the objective's own bits
     dirs = grid_directions(3, _SEED_GRID[3])
-    tracemalloc.start()
-    try:
-        vals = _value_on_grid(obj, dirs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 128 * 2**20
-    assert np.array_equal(vals[-64:], obj.value(dirs[-64:]))
+    law = Gaussian(np.zeros(3), np.eye(3))
+    for n in (1600, 6000):
+        rng = np.random.default_rng(98)
+        x, y = rng.normal(size=(n, 3)), rng.normal(size=(3 * n // 4, 3)) + 0.3
+        objectives = {"analytic_p3": _AnalyticObjective(x, law, 3.0),
+                      "analytic_p2": _AnalyticObjective(x, law, 2.0),
+                      "two_sample": _TwoSampleObjective(x, y, 2.0),
+                      "ratio": _RatioObjective(x, law)}
+        for kind, obj in objectives.items():
+            obj.value(dirs[:1])  # loads what the objective imports on first use
+            tracemalloc.start()
+            try:
+                vals = _value_on_grid(obj, dirs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20 * n / 1600, (n, kind, peak)
+            for k in range(0, dirs.shape[0], _GRID_BLOCK):
+                block = dirs[k : k + _GRID_BLOCK]
+                assert np.array_equal(vals[k : k + _GRID_BLOCK], obj.value(block)), (n, kind, k)
+
+
+class _SquaredProjection:
+    """theta -> (a . theta)^2, whose sup over the sphere is ||a||^2.
+
+    It has exactly the objective protocol's three members, so any other
+    attribute that _run_search reads fails here.
+    """
+
+    __slots__ = ("_a",)
+
+    def __init__(self, a):
+        self._a = a
+
+    def value(self, th):
+        return (th @ self._a) ** 2
+
+    def value_and_grad(self, th):
+        ip = th @ self._a
+        return ip**2, 2.0 * ip[:, None] * self._a
+
+    def certify(self, theta):
+        return float((theta @ self._a) ** 2)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_search_needs_only_the_three_member_protocol(d):
+    # d = 2 runs the seed grid through _value_on_grid; d = 5 runs without it
+    rng = np.random.default_rng(600 + d)
+    a = rng.normal(size=d)
+    res = _run_search(_SquaredProjection(a), rng.normal(size=(40, d)), rng.normal(size=d),
+                      None, None, RngStream(d))
+    assert res.value == pytest.approx(a @ a, rel=1e-9)
+    assert res.oracle_gap is None
 
 
 # A non-zero mean and a non-identity covariance for the closed-form tests.
@@ -572,7 +617,7 @@ def test_search_value_clears_every_start(d, p):
     x, y = _shifted_pair(d, 120, d)
     opts = OptimizerOpts()
     objective = _TwoSampleObjective(x, y, p)
-    starts, _ = _collect_starts(objective, np.vstack([x, y]), x.mean(0) - y.mean(0), None,
-                                opts, RngStream(3))
+    starts = _collect_starts(objective, np.vstack([x, y]), x.mean(0) - y.mean(0), None,
+                             opts, RngStream(3))
     value = msw_empirical(x, y, p, opts, RngStream(3)).value
     assert value**p >= np.max(objective.value(starts)) * (1.0 - 1e-12)
