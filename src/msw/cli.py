@@ -16,7 +16,6 @@ from .bounds import BoundParams
 from .errors import ConfigError, DomainError, MswError, NumericError, SpecError
 from .harness import (
     DEFAULT_N_GRID,
-    EXPERIMENTS,
     ExperimentConfig,
     Overlay,
     emit,
@@ -39,10 +38,15 @@ CONFIG_KINDS = {
     "overlay_s": "number", "overlay_gamma": "number", "overlay_c": "number", "overlay_C": "number",
     "mean": "numbers", "eps_grid": "numbers",
 }
-# keys that only some experiments read; any other experiment rejects them
+# keys that only some experiments, or only some distributions, read; a config
+# whose experiment and distribution are both missing from a key's readers is
+# rejected (no key is limited by both)
 _RATE = ("rate_vs_truth", "rate_two_sample", "rkhs_rate")
 _READ_BY = {"p": _RATE, "d_test_list": ("rkhs_rate",), "eps_grid": ("ratio_exceedance",),
-            **{key: _RATE for key in CONFIG_KINDS if key.startswith("overlay_")}}
+            **{key: _RATE for key in CONFIG_KINDS if key.startswith("overlay_")},
+            "mean": ("gaussian",), "covariance": ("gaussian",), "shape": ("pareto_product",),
+            "d": ("gaussian", "pareto_product"),
+            **{key: ("rkhs_pushforward",) for key in ("sigma2", "w", "eta2", "d_test")}}
 # kind -> (its name in errors, the types it accepts, the cast applied)
 _KINDS = {
     "text": ("text", str, str),
@@ -205,9 +209,12 @@ def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, .
         d_test_list=tuple(_as_list(m["d_test_list"])) if "d_test_list" in m else None,
         overlay=_build_overlay(m, p, spec),
     )
-    unread = sorted(k for k in m if config.experiment not in _READ_BY.get(k, EXPERIMENTS))
+    exp, dist = config.experiment, m.get("distribution", "gaussian")
+    unread = sorted(k for k in m if not {exp, dist} & set(_READ_BY.get(k, (exp,))))
     if unread:
-        raise ConfigError(f"experiment {config.experiment!r} does not read {', '.join(unread)}")
+        raise ConfigError(
+            f"experiment {exp!r} with distribution {dist!r} does not read {', '.join(unread)}"
+        )
     return config, tuple(_as_list(m.get("eps_grid", DEFAULT_EPS_GRID)))
 
 

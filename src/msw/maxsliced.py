@@ -22,9 +22,7 @@ import numpy as np
 from .errors import DomainError, ScaleError, SpecError, UnsupportedDimensionError
 from .measures import Gaussian, RngStream, as_samples
 from .ot1d import (
-    _integration_cells,
-    _leggauss,
-    _ndtri,
+    _normal_quantile_blocks,
     gaussian_law,
     project,
     quantile_blocks,
@@ -107,28 +105,23 @@ def grid_directions(d: int, resolution: int) -> np.ndarray:
 def _argsort_columns(proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column ascending order of proj and the sorted values.
 
-    Equals np.argsort(proj, axis=0, kind="stable") bit for bit, at the cost of
-    the faster default sort. Where a column's values are distinct its order
-    is unique, so any sort finds it; only the columns holding an exact tie
-    are sorted again stably, so tied entries keep their index order.
+    Tied values take numpy's default sort order. Any order of tied points is
+    an optimal coupling, so it leaves the sorted values, and every value
+    computed from them, unchanged; each order's gradient is a subgradient.
+    Each column is sorted on its own, so its order depends on that column's
+    values only, not on the other directions in the batch.
     """
     order = np.argsort(proj, axis=0)
-    s = proj[order, np.arange(proj.shape[1])]
-    tied = np.flatnonzero(np.any(s[1:] == s[:-1], axis=0))
-    if tied.size:
-        order[:, tied] = np.argsort(proj[:, tied], axis=0, kind="stable")
-        s[:, tied] = proj[order[:, tied], tied]
-    return order, s
+    return order, proj[order, np.arange(proj.shape[1])]
 
 
 class _TwoSampleObjective:
     """theta -> W_p^p(mu_theta, nu_theta) for two empirical measures, batched.
 
     Directions are passed as the rows of a matrix; values and fixed-matching
-    subgradients come back one per row. Tied projections couple by original
-    index: _argsort_columns sorts with the default sort and re-sorts stably
-    only the columns that hold a tie. value needs only the sorted values,
-    whose distances |sx - sy| are the same under any tie order.
+    subgradients come back one per row. Tied projections couple in numpy's
+    sort order (_argsort_columns); any such order is an optimal coupling, so
+    value, which needs only the sorted values, never depends on it.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, p: float):
@@ -189,32 +182,24 @@ class _AnalyticObjective:
         W_2^2 = mean(c^2) - 2 s sum_i g_i c_i + s^2,
 
     so each direction costs one projection, one sort and one dot product with
-    g, which depends on n only. Quadrature serves p != 2 only: the standard
-    normal quantiles at _OPT_NODES Gauss-Legendre nodes per block depend on n
-    only, so they are precomputed once, and each direction costs a weighted
-    power sum over them. Both the z_i and the nodes' quantiles come from
-    ot1d._ndtri, which matches scipy's ndtri bit for bit and loads no scipy.
+    g. Quadrature serves p != 2 only: each direction costs a weighted power
+    sum over the standard normal quantiles at _OPT_NODES Gauss-Legendre nodes
+    per block. g and the nodes' quantiles depend on n only;
+    ot1d._normal_quantile_blocks builds them once per n with ot1d._ndtri,
+    which matches scipy's ndtri bit for bit and loads no scipy.
 
     value sorts the values only; value_and_grad sorts with _argsort_columns,
-    where a direction whose projections tie is sorted once more, stably, so
-    ties keep their index order.
+    where tied projections take numpy's sort order. Any such order is an
+    optimal coupling, so value never depends on it.
     """
 
     def __init__(self, x: np.ndarray, spec: Gaussian, p: float):
         self.x, self.p = x, p
         self.mean, self.cov = spec.mean, spec.cov
-        n = x.shape[0]
         if p == 2.0:
-            pdf = np.zeros(n + 1)
-            z = _ndtri(np.arange(1, n) / n)
-            pdf[1:-1] = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-            self.g = pdf[:-1] - pdf[1:]
+            (self.g,) = _normal_quantile_blocks(x.shape[0], None)
         else:
-            lo, hi, _ = _integration_cells(n, None)
-            t, v = _leggauss(_OPT_NODES)
-            u = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t[None, :]
-            self.wq = 0.5 * (hi - lo)[:, None] * v[None, :]  # (n, K)
-            self.z = _ndtri(u)
+            self.wq, self.z = _normal_quantile_blocks(x.shape[0], _OPT_NODES)
 
     def _scale(self, th: np.ndarray):
         """<theta, mean>, Sigma theta and the projected sd s, per row of th."""

@@ -251,6 +251,30 @@ def _integration_cells(n: int, jumps: np.ndarray | None) -> tuple[np.ndarray, np
     return lo, hi, idx
 
 
+@lru_cache(maxsize=32)
+def _normal_quantile_blocks(n: int, nodes: int | None) -> tuple[np.ndarray, ...]:
+    """The standard normal quantile Phi^-1 over the n blocks ((i-1)/n, i/n].
+
+    With nodes None this is (g,), the block integrals g_i = phi(z_{i-1}) -
+    phi(z_i), z_i = Phi^-1(i/n) and phi(z_0) = phi(z_n) = 0. Otherwise it is
+    (weights, quantiles) at nodes Gauss-Legendre nodes per clipped block, each
+    of shape (n, nodes). Cached per (n, nodes) and read-only.
+    """
+    if nodes is None:
+        pdf = np.zeros(n + 1)
+        z = _ndtri(np.arange(1, n) / n)
+        pdf[1:-1] = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        tables = (pdf[:-1] - pdf[1:],)
+    else:
+        lo, hi, _ = _integration_cells(n, None)
+        t, v = _leggauss(nodes)
+        u = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t[None, :]
+        tables = (0.5 * (hi - lo)[:, None] * v[None, :], _ndtri(u))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def w1d_vs_cdf(xs, law: AnalyticCdf1d, p: float, nodes_per_block: int = 32) -> float:
     """Order-p Wasserstein distance between an empirical measure and a law.
 

@@ -187,9 +187,16 @@ def test_exit_codes(tmp_path, capsys):
         out = tmp_path / "malformed.csv"
         assert main(["rate", "--config", str(bad_cfg), "--out", str(out)]) == 2, line
         assert not out.exists() and not out.with_suffix(".meta.json").exists()
-    # keys the experiment never reads, and a d that disagrees with a list mean -> config error,
-    # before any trial runs
+    # keys the experiment or the distribution never reads, and a d that disagrees with a
+    # list mean -> config error, before any trial runs
     ratio_cfg = "experiment = ratio_exceedance\nd = 2\nn_grid = 20\nmc_runs = 1\n"
+    pareto_cfg = "experiment = rate_two_sample\ndistribution = pareto_product\nshape = 8\nd = 2\n"
+    rkhs_cfg = ("experiment = rkhs_rate\ndistribution = rkhs_pushforward\nsigma2 = 4\nw = 1\n"
+                "eta2 = 1\nd_test_list = 10, 20\n")
+    for base in (pareto_cfg, rkhs_cfg):
+        readable = tmp_path / "readable.cfg"
+        readable.write_text(base)
+        config_from_mapping(parse_config_file(readable))
     for command, text in (
         ("ratio", ratio_cfg + "p = 3\n"),
         ("ratio", ratio_cfg + "overlay_kind = finite\n"),
@@ -198,6 +205,12 @@ def test_exit_codes(tmp_path, capsys):
         ("rate", good.read_text() + "d_test_list = 5, 7\n"),
         ("rate", good.read_text() + "eps_grid = 0.1, 0.5\n"),
         ("rate", good.read_text().replace("d = 2", "d = 3") + "mean = 0, 1\n"),
+        ("rate", good.read_text() + "shape = 3\n"),
+        ("ratio", ratio_cfg + "shape = 3\n"),
+        *(("rate", good.read_text() + f"{key} = 2\n") for key in ("sigma2", "w", "eta2", "d_test")),
+        *(("rate", pareto_cfg + line) for line in ("mean = 0\n", "covariance = identity\n",
+                                                   "sigma2 = 4\n", "d_test = 5\n")),
+        *(("rate", rkhs_cfg + line) for line in ("d = 7\n", "mean = 0\n", "shape = 3\n")),
     ):
         unread = tmp_path / "unread.cfg"
         unread.write_text(text)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtri
@@ -26,7 +26,6 @@ from msw.maxsliced import (
     _GRID_BLOCK,
     _SEED_GRID,
     _AnalyticObjective,
-    _argsort_columns,
     _collect_starts,
     _normalize_rows,
     _run_search,
@@ -219,47 +218,10 @@ def test_vs_analytic_d1_and_spec_errors():
         msw_vs_analytic([[1.0, 1.0]], ParetoProduct(8.0, 2), 2.0, FAST, RngStream(0))
 
 
-# Columns of a projection matrix: free floats, values rounded to 0.1, signed
-# zeros among a few values, and one value repeated down the whole column.
-_COLUMN_VALUES = {
-    "float": st.floats(min_value=-50.0, max_value=50.0),
-    "rounded": st.integers(-20, 20).map(lambda k: k / 10.0),
-    "signed_zero": st.sampled_from([-0.0, 0.0, -1.0, 1.0]),
-}
-
-
-@st.composite
-def tie_matrices(draw):
-    n = draw(st.integers(1, 40))
-    cols = []
-    for kind in draw(st.lists(st.sampled_from([*_COLUMN_VALUES, "constant"]), min_size=1, max_size=6)):
-        if kind == "constant":
-            cols.append([draw(_COLUMN_VALUES["float"])] * n)
-        else:
-            cols.append(draw(st.lists(_COLUMN_VALUES[kind], min_size=n, max_size=n)))
-    proj = np.array(cols).T
-    dup = draw(st.lists(st.integers(0, n - 1), max_size=5))
-    proj = np.vstack([proj, proj[dup]])
-    return proj[draw(st.permutations(range(proj.shape[0])))]
-
-
-@settings(max_examples=200, deadline=None)
-@given(proj=tie_matrices())
-@example(proj=np.array([[0.3, 0.0, 2.0], [0.1, -0.0, 2.0], [0.3, 0.0, 2.0], [0.2, -0.0, 2.0], [0.7, 1.0, 2.0]]))
-@example(proj=np.array([[1.5, 0.1], [-2.0, 0.2], [0.25, 0.1], [3.0, 0.1]]))
-def test_argsort_columns_is_the_stable_argsort(proj):
-    order, s = _argsort_columns(proj)
-    want = np.argsort(proj, axis=0, kind="stable")
-    assert np.array_equal(order, want)
-    # bit patterns, so that -0.0 and 0.0 must land where the stable sort puts them
-    assert np.array_equal(s.view(np.int64), np.take_along_axis(proj, want, 0).view(np.int64))
-
-
-def _stable_two_sample_value_and_grad(obj, th):
-    """The two-sample objective as computed with a stable argsort and np.add.at."""
+def _reference_two_sample_value_and_grad(obj, th):
+    """The two-sample objective as computed with a per-column argsort and np.add.at."""
     px, py = obj.x @ th.T, obj.y @ th.T
-    ox = np.argsort(px, axis=0, kind="stable")
-    oy = np.argsort(py, axis=0, kind="stable")
+    ox, oy = np.argsort(px, axis=0), np.argsort(py, axis=0)
     sx, sy = np.take_along_axis(px, ox, 0), np.take_along_axis(py, oy, 0)
     p = obj.p
     if obj.equal:
@@ -285,13 +247,13 @@ def _stable_two_sample_value_and_grad(obj, th):
     return vals, ax.T @ obj.x - ay.T @ obj.y
 
 
-def _stable_analytic_value_and_grad(obj, th):
-    """The analytic objective as computed with a stable argsort."""
+def _reference_analytic_value_and_grad(obj, th):
+    """The analytic objective as computed with a per-column argsort."""
     mth = th @ obj.mean
     sig_th = th @ obj.cov
     s = np.sqrt(np.maximum(np.einsum("rd,rd->r", sig_th, th), 0.0))
     px = obj.x @ th.T
-    ox = np.argsort(px, axis=0, kind="stable")
+    ox = np.argsort(px, axis=0)
     sx = np.take_along_axis(px, ox, 0)
     delta = sx[:, None, :] - mth[None, None, :] - s[None, None, :] * obj.z[:, :, None]
     absd = np.abs(delta)
@@ -330,7 +292,7 @@ def test_two_sample_objective_matches_stable_sort_reference(n, m, d, decimals):
     th = _directions(rng, 13, d)
     obj = _TwoSampleObjective(x, y, 2.0)
     vals, grads = obj.value_and_grad(th)
-    want_vals, want_grads = _stable_two_sample_value_and_grad(obj, th)
+    want_vals, want_grads = _reference_two_sample_value_and_grad(obj, th)
     assert np.array_equal(vals, want_vals)
     assert np.array_equal(grads, want_grads)
     assert np.array_equal(obj.value(th), want_vals)
@@ -348,10 +310,44 @@ def test_analytic_objective_matches_stable_sort_reference(n, d, decimals):
     for p in (1.0, 3.0):
         obj = _AnalyticObjective(x, spec, p)
         vals, grads = obj.value_and_grad(th)
-        want_vals, want_grads = _stable_analytic_value_and_grad(obj, th)
+        want_vals, want_grads = _reference_analytic_value_and_grad(obj, th)
         assert np.array_equal(vals, want_vals)
         assert np.array_equal(grads, want_grads)
         assert np.array_equal(obj.value(th), want_vals)
+
+
+@pytest.mark.parametrize("n,m", [(300, 300), (300, 170)])
+def test_two_sample_gradient_supports_the_value_under_ties(n, m):
+    # W_2^2 is the minimum over couplings of quadratics in theta, and the sorted
+    # coupling is optimal at theta whatever order the tied points take, so its
+    # gradient g bounds the value from above along any step h v:
+    #   value(theta + h v) <= value(theta) + h <g, v> + h^2 |v|^2 (max|x| + max|y|)^2
+    rng = np.random.default_rng(n + m)
+    x = np.round(rng.normal(size=(n, 3)), 1)
+    y = np.round(rng.normal(size=(m, 3)) + 0.5, 1)
+    obj = _TwoSampleObjective(x, y, 2.0)
+    theta = np.eye(3)[:1]
+    vals, grads = obj.value_and_grad(theta)
+    assert np.unique(x[:, 0]).size < n and np.unique(y[:, 0]).size < m
+    v = rng.normal(size=(40, 3))
+    curvature = (np.linalg.norm(x, axis=1).max() + np.linalg.norm(y, axis=1).max()) ** 2
+    # the smaller step lets the linear term dominate, so a wrong gradient shows
+    for h in (1e-3, 1e-5):
+        bound = vals[0] + h * (v @ grads[0]) + h * h * np.sum(v * v, axis=1) * curvature
+        assert np.all(obj.value(theta + h * v) <= bound + 1e-12 * vals[0]), h
+
+
+def test_analytic_objectives_at_one_n_share_read_only_tables():
+    rng = np.random.default_rng(405)
+    spec = Gaussian(np.zeros(2), np.eye(2))
+    for p, names in ((2.0, ("g",)), (3.0, ("wq", "z"))):
+        a, b = (_AnalyticObjective(rng.normal(size=(150, 2)), spec, p) for _ in range(2))
+        for name in names:
+            table = getattr(a, name)
+            assert table is getattr(b, name)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
 def test_grid_oracle_memory_follows_the_larger_sample():
