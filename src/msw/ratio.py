@@ -11,15 +11,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericError, ScaleError, SpecError
-from .maxsliced import OptimizerOpts, _normalize_rows, _run_search, _value_on_grid
+from .maxsliced import OptimizerOpts, _argsort_columns, _run_search
 from .measures import Gaussian, RngStream, as_samples
 from .ot1d import AnalyticCdf1d, _ndtr, gaussian_law, project
 
 _BRANCH_TRUTH = "truth_minus_empirical"      # (F - F_n) / sqrt(F)
 _BRANCH_EMPIRICAL = "empirical_minus_truth"  # (F_n - F) / sqrt(F_n)
-
-# perturbation for central-difference direction derivatives in ratio_sup
-_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -37,9 +34,16 @@ class RatioStatResult:
     side: str = "at"
 
 
-def _candidate_ratios(f: np.ndarray, fn: np.ndarray) -> np.ndarray:
-    denom = np.sqrt(np.maximum(f, fn))
-    return np.divide(np.abs(f - fn), denom, out=np.zeros(denom.shape), where=denom > 0.0)
+def _best_piece(f_at: np.ndarray, f_left: np.ndarray, fn: np.ndarray):
+    """Per column of cdf values at the sorted projections, with fn = 0, 1/n, ..., 1:
+    the statistic, the active piece's row and whether it is a left limit.
+    Ties go to the first "at" piece, then to the first left limit."""
+    n = f_at.shape[0]
+    f, g = np.concatenate([f_at, f_left]), np.concatenate([fn[1:], fn[:-1]])
+    denom = np.sqrt(np.maximum(f, g))
+    cand = np.divide(np.abs(f - g), denom, out=np.zeros(denom.shape), where=denom > 0.0)
+    best = np.argmax(cand, axis=0)
+    return cand[best, np.arange(cand.shape[1])], best % n, best >= n
 
 
 def ratio_fixed_direction(xs, theta, law: AnalyticCdf1d) -> RatioStatResult:
@@ -53,25 +57,21 @@ def ratio_fixed_direction(xs, theta, law: AnalyticCdf1d) -> RatioStatResult:
     atoms at the sample points.
     """
     t = project(xs, theta)
-    n = t.size
     f_at = np.asarray(law.cdf(t), dtype=np.float64)
     f_left = f_at if law.cdf_left is None else np.asarray(law.cdf_left(t), dtype=np.float64)
     if not (np.all(np.isfinite(f_at)) and np.all(np.isfinite(f_left))):
         bad = t[int(np.argmin(np.isfinite(f_at) & np.isfinite(f_left)))]
         raise NumericError(f"cdf evaluation failed at t={bad!r}")
-    fn_at = np.arange(1, n + 1) / n
-    fn_left = np.arange(0, n) / n
-    cand = np.stack([_candidate_ratios(f_at, fn_at), _candidate_ratios(f_left, fn_left)])
-    flat = int(np.argmax(cand))
-    side_idx, i = divmod(flat, n)
-    f_star = (f_at, f_left)[side_idx][i]
-    fn_star = (fn_at, fn_left)[side_idx][i]
+    fn = (np.arange(t.size + 1) / t.size)[:, None]
+    value, row, left = _best_piece(f_at[:, None], f_left[:, None], fn)
+    i, left = int(row[0]), bool(left[0])
+    f_star = (f_left if left else f_at)[i]
     return RatioStatResult(
-        value=float(cand[side_idx, i]),
+        value=float(value[0]),
         arg_theta=np.asarray(theta, dtype=np.float64),
         arg_t=float(t[i]),
-        branch=_BRANCH_TRUTH if f_star >= fn_star else _BRANCH_EMPIRICAL,
-        side="at" if side_idx == 0 else "left",
+        branch=_BRANCH_TRUTH if f_star >= fn[i + 1 - left, 0] else _BRANCH_EMPIRICAL,
+        side="left" if left else "at",
     )
 
 
@@ -83,32 +83,42 @@ def _projected_law(spec: Gaussian, theta: np.ndarray) -> AnalyticCdf1d:
 class _RatioObjective:
     """theta -> the ratio statistic along each row, batched.
 
-    value(rows) is ratio_fixed_direction's value for every row at once. The
-    statistic has no closed-form derivative, so value_and_grad returns
-    central differences, evaluated as 2d extra rows per direction through
-    _value_on_grid's fixed blocks. certify is value at one direction;
-    ratio_sup recomputes the full result with ratio_fixed_direction at the
-    winning direction only.
+    Along theta it is the max of 2n pieces |Phi(z) - a| / sqrt(Phi(z) v a),
+    one per sorted point x_(i) and side: z = <theta, x_(i) - mu> / s with
+    s^2 = theta^T Sigma theta, and a = i/n ("at") or (i-1)/n ("left"). value
+    takes the max with ratio_fixed_direction's _best_piece. Each piece is
+    smooth while the sort order holds, so value_and_grad returns the active
+    piece's gradient, a subgradient, from one sort per direction: phi(z)
+    dz/dtheta dr/dPhi, with dz/dtheta = (x_(i) - mu)/s - z Sigma theta/s^2
+    orthogonal to theta and dr/dPhi = (Phi + a)/(2 Phi^(3/2)) if Phi >= a,
+    else -1/sqrt(a). certify is value at one direction.
     """
 
     def __init__(self, x: np.ndarray, spec: Gaussian):
         self.x, self.spec = x, spec
         self.fn = (np.arange(x.shape[0] + 1) / x.shape[0])[:, None]  # F_n(t_i-), F_n(t_i)
 
+    def _pieces(self, sx: np.ndarray, th: np.ndarray):
+        """Sigma theta, s, z, Phi(z) and _best_piece per column of the sorted sx."""
+        sig_th = th @ self.spec.cov
+        sd = np.sqrt(np.maximum(np.einsum("rd,rd->r", sig_th, th), 1e-300))
+        z = (sx - th @ self.spec.mean) / sd
+        f = _ndtr(z)
+        return sig_th, sd, z, f, _best_piece(f, f, self.fn)
+
     def value(self, th: np.ndarray) -> np.ndarray:
-        var = np.einsum("rd,rd->r", th @ self.spec.cov, th)
-        sd = np.sqrt(np.maximum(var, 1e-300))
-        f = _ndtr((np.sort(self.x @ th.T, axis=0) - th @ self.spec.mean) / sd)
-        cand = np.maximum(_candidate_ratios(f, self.fn[1:]), _candidate_ratios(f, self.fn[:-1]))
-        return cand.max(axis=0)
+        return self._pieces(np.sort(self.x @ th.T, axis=0), th)[-1][0]
 
     def value_and_grad(self, th: np.ndarray):
-        r, d = th.shape
-        step = _FD_STEP * np.eye(d)
-        shifted = np.stack([th[:, None, :] + step, th[:, None, :] - step], axis=1)
-        vals = _value_on_grid(self, np.vstack([th, _normalize_rows(shifted.reshape(-1, d))]))
-        pairs = vals[r:].reshape(r, 2, d)
-        return vals[:r], (pairs[:, 0] - pairs[:, 1]) / (2.0 * _FD_STEP)
+        order, sx = _argsort_columns(self.x @ th.T)
+        sig_th, sd, z, f, (vals, row, left) = self._pieces(sx, th)
+        cols = np.arange(th.shape[0])
+        zi, fi, a = z[row, cols], f[row, cols], self.fn[row + 1 - left, 0]
+        top = np.maximum(fi, a)  # > 0, as the active piece is: the law has no atoms
+        dr = np.where(fi >= a, (fi + a) / (2.0 * top), -1.0) / np.sqrt(top)
+        coef = dr * np.exp(-0.5 * zi * zi) / (math.sqrt(2.0 * math.pi) * sd)
+        dz = self.x[order[row, cols]] - self.spec.mean - (zi / sd)[:, None] * sig_th
+        return vals, coef[:, None] * dz
 
     def certify(self, theta: np.ndarray) -> float:
         return float(self.value(theta[None])[0])

@@ -21,7 +21,7 @@ from msw import (
     vc_bound,
 )
 from msw.maxsliced import _normalize_rows, grid_directions
-from msw.ratio import _FD_STEP, _projected_law, _RatioObjective
+from msw.ratio import _projected_law, _RatioObjective
 
 FAST = OptimizerOpts(restarts=6, max_iters=50)
 
@@ -39,6 +39,52 @@ def test_degenerate_law_gives_zero():
     pts = np.array([[0.1], [0.5], [0.9]])
     law = empirical_law(pts[:, 0])
     assert ratio_fixed_direction(pts, [1.0], law).value == 0.0
+
+
+def _stacked_argmax_reference(xs, theta, law):
+    """The statistic's tie rule before the shared kernel: the argmax over the
+    stacked "at" and left-limit rows, so the first "at" piece wins, then the
+    first left limit."""
+    t = np.sort(np.asarray(xs, dtype=np.float64) @ np.asarray(theta, dtype=np.float64))
+    n = t.size
+    f_at = np.asarray(law.cdf(t), dtype=np.float64)
+    f_left = f_at if law.cdf_left is None else np.asarray(law.cdf_left(t), dtype=np.float64)
+    fn_at, fn_left = np.arange(1, n + 1) / n, np.arange(0, n) / n
+
+    def ratios(f, fn):
+        denom = np.sqrt(np.maximum(f, fn))
+        return np.divide(np.abs(f - fn), denom, out=np.zeros(n), where=denom > 0.0)
+
+    cand = np.stack([ratios(f_at, fn_at), ratios(f_left, fn_left)])
+    side, i = divmod(int(np.argmax(cand)), n)
+    f_star, fn_star = (f_at, f_left)[side][i], (fn_at, fn_left)[side][i]
+    branch = "truth_minus_empirical" if f_star >= fn_star else "empirical_minus_truth"
+    return float(cand[side, i]), float(t[i]), ("at", "left")[side], branch
+
+
+def _tie_cases():
+    """Samples rounded to 0.1, empirical laws with atoms at the sample points,
+    and the all-zero case of test_degenerate_law_gives_zero."""
+    g = np.random.default_rng(97)
+    for k in range(60):
+        d, n = int(g.integers(1, 4)), int(g.integers(1, 120))
+        theta = g.normal(size=d)
+        theta /= np.linalg.norm(theta)
+        xs = np.round(g.normal(size=(n, d)), 1)
+        yield xs, theta, gaussian_law(float(np.round(g.normal(), 1)), 1.0)
+        atoms = np.round(xs @ theta, 1) if k % 2 else (xs @ theta)[g.permutation(n)[: n // 2 + 1]]
+        yield xs, theta, empirical_law(atoms)
+    pts = np.array([[0.1], [0.5], [0.9]])
+    yield pts, np.array([1.0]), empirical_law(pts[:, 0])
+
+
+def test_fixed_direction_keeps_the_stacked_argmax_tie_rule():
+    sides = set()
+    for xs, theta, law in _tie_cases():
+        res = ratio_fixed_direction(xs, theta, law)
+        assert (res.value, res.arg_t, res.side, res.branch) == _stacked_argmax_reference(xs, theta, law)
+        sides.add(res.side)
+    assert sides == {"at", "left"}
 
 
 def test_quantile_grid_regression():
@@ -93,18 +139,20 @@ def _scalar_value(xs, spec, theta):
     return ratio_fixed_direction(xs, theta, _projected_law(spec, theta)).value
 
 
-def _scalar_fd_gradient(xs, spec, theta):
-    """One direction at a time, the central difference ratio_sup once looped over."""
+def _scalar_fd_gradient(xs, spec, theta, step=1e-6):
+    """Central differences of ratio_fixed_direction, one axis at a time."""
     grad = np.empty(theta.size)
     for axis, e in enumerate(np.eye(theta.size)):
-        up = _normalize_rows((theta + _FD_STEP * e)[None, :])[0]
-        dn = _normalize_rows((theta - _FD_STEP * e)[None, :])[0]
-        grad[axis] = (_scalar_value(xs, spec, up) - _scalar_value(xs, spec, dn)) / (2.0 * _FD_STEP)
+        up = _normalize_rows((theta + step * e)[None, :])[0]
+        dn = _normalize_rows((theta - step * e)[None, :])[0]
+        grad[axis] = (_scalar_value(xs, spec, up) - _scalar_value(xs, spec, dn)) / (2.0 * step)
     return grad
 
 
 @pytest.mark.parametrize("d", [2, 3, 8])
 def test_ratio_objective_matches_the_scalar_statistic(d):
+    # continuous samples at random directions: no projection ties and, to the
+    # step, no switch of the active piece, so the statistic is smooth there
     rng = np.random.default_rng(40 + d)
     a = rng.normal(size=(d, d))
     spec = Gaussian(rng.normal(size=d), a @ a.T + 0.5 * np.eye(d))
@@ -114,9 +162,10 @@ def test_ratio_objective_matches_the_scalar_statistic(d):
     vals, grads = objective.value_and_grad(rows)
     assert np.array_equal(vals, objective.value(rows))
     assert vals == pytest.approx([_scalar_value(xs, spec, t) for t in rows], rel=1e-12)
-    # values in [0, 1] agreeing to 1e-12 move a difference quotient over 2e-4 by <= 1e-8
     for theta, grad in zip(rows, grads):
-        assert grad == pytest.approx(_scalar_fd_gradient(xs, spec, theta), rel=0.0, abs=1e-8)
+        # the statistic depends on the direction only
+        assert abs(grad @ theta) <= 1e-12 * np.linalg.norm(grad)
+        assert grad == pytest.approx(_scalar_fd_gradient(xs, spec, theta), rel=1e-4, abs=1e-6)
 
 
 def test_ratio_sup_is_certified_and_beats_the_seed_grid():
