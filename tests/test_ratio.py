@@ -139,8 +139,9 @@ def _scalar_value(xs, spec, theta):
     return ratio_fixed_direction(xs, theta, _projected_law(spec, theta)).value
 
 
-def _scalar_fd_gradient(xs, spec, theta, step=1e-6):
+def _scalar_fd_gradient(xs, spec, theta):
     """Central differences of ratio_fixed_direction, one axis at a time."""
+    step = 1e-6
     grad = np.empty(theta.size)
     for axis, e in enumerate(np.eye(theta.size)):
         up = _normalize_rows((theta + step * e)[None, :])[0]
