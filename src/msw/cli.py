@@ -10,21 +10,8 @@ import numbers
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .bounds import BoundParams
+# the rest of the package (and numpy) is imported by the command that runs it
 from .errors import ConfigError, DomainError, MswError, NumericError, SpecError
-from .harness import (
-    DEFAULT_N_GRID,
-    ExperimentConfig,
-    Overlay,
-    emit,
-    run_rate_experiment,
-    run_ratio_experiment,
-)
-from .maxsliced import OptimizerOpts, msw_empirical
-from .measures import Gaussian, ParetoProduct, RkhsPushforward, RngStream
-from .rkhs import KernelSpec, check_assumptions, check_spectrum, eigenvalues
 
 DEFAULT_EPS_GRID = tuple(round(0.05 * k, 2) for k in range(1, 25))
 
@@ -124,6 +111,8 @@ def _as_list(value) -> list:
 
 
 def _build_covariance(value, d: int) -> np.ndarray:
+    import numpy as np
+
     if value is None or value == "identity":
         return np.eye(d)
     form, _, args = value.partition("(")
@@ -147,6 +136,11 @@ def _require(m: dict, dist: str, *keys: str) -> None:
 
 
 def _build_spec(m: dict):
+    import numpy as np
+
+    from .measures import Gaussian, ParetoProduct, RkhsPushforward
+    from .rkhs import KernelSpec
+
     dist = m.get("distribution", "gaussian")
     if m.get("d", 1) < 1:
         raise ConfigError(f"d must be >= 1, got {m['d']}")
@@ -169,6 +163,9 @@ def _build_spec(m: dict):
 
 
 def _build_overlay(m: dict, p: float, spec) -> Overlay | None:
+    from .bounds import BoundParams
+    from .harness import Overlay
+
     if "overlay_kind" not in m:
         return None
     params = BoundParams(
@@ -189,6 +186,9 @@ def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, .
     anything is built, and a key that the experiment never reads is rejected,
     so a malformed config fails before the first trial.
     """
+    from .harness import DEFAULT_N_GRID, ExperimentConfig
+    from .maxsliced import OptimizerOpts
+
     unknown = sorted(mapping.keys() - CONFIG_KINDS.keys())
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -219,21 +219,22 @@ def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, .
 
 
 def load_sample_file(path) -> np.ndarray:
-    """CSV sample matrix, one point per row; a leading x1,...,xd header is skipped."""
+    """CSV sample matrix, one point per row; blank lines and a leading
+    x1,...,xd header are skipped, and an error names the row's line in the file.
+    Every row is checked before numpy is imported."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot read sample file {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise DomainError(f"sample file {path} is empty")
-    start = 0
     try:
-        [float(tok) for tok in lines[0].split(",")]
+        [float(tok) for tok in lines[0][1].split(",")]
     except ValueError:
-        start = 1
+        lines = lines[1:]
     rows = []
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    for lineno, line in lines:
         try:
             row = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
@@ -241,12 +242,17 @@ def load_sample_file(path) -> np.ndarray:
         if rows and len(row) != len(rows[0]):
             raise DomainError(f"{path}:{lineno}: expected {len(rows[0])} values, got {len(row)}")
         rows.append(row)
+    import numpy as np
+
     return np.asarray(rows, dtype=np.float64)
 
 
 def _cmd_compute(args) -> int:
     xs = load_sample_file(args.x)
     ys = load_sample_file(args.y)
+    from .maxsliced import OptimizerOpts, msw_empirical
+    from .measures import RngStream
+
     opts = OptimizerOpts() if args.restarts is None else OptimizerOpts(restarts=args.restarts)
     result = msw_empirical(xs, ys, args.p, opts, RngStream(args.seed))
     payload = {
@@ -274,6 +280,8 @@ def _load_config(args, **defaults):
 
 
 def _cmd_rate(args) -> int:
+    from .harness import emit, run_rate_experiment
+
     config, _ = _load_config(args)
     result = run_rate_experiment(config, threads=args.threads)
     out = Path(args.out)
@@ -286,12 +294,16 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
+    from .harness import emit, run_ratio_experiment
+
     config, eps_grid = _load_config(args, experiment="ratio_exceedance")
     emit(run_ratio_experiment(config, eps_grid, threads=args.threads), args.format, args.out)
     return 0
 
 
 def _cmd_rkhs_spectrum(args) -> int:
+    from .rkhs import KernelSpec, check_assumptions, check_spectrum, eigenvalues
+
     kernel = KernelSpec(args.sigma2, args.w)
     lams = eigenvalues(kernel, args.j_max)
     report = check_spectrum(kernel, min(args.j_max, args.check_j)) if args.check else None
@@ -313,7 +325,7 @@ def _cmd_rkhs_spectrum(args) -> int:
     }
     if report is not None:
         summary["orthonormality_error"] = report.orthonormality_error
-        summary["max_eigen_residual"] = float(np.max(report.eigen_residuals))
+        summary["max_eigen_residual"] = float(report.eigen_residuals.max())
         summary["residual_j_max"] = report.j_max
     if args.out:
         out = Path(args.out)

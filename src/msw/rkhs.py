@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import DomainError, NumericError, SpecError
 
@@ -190,6 +189,7 @@ def check_spectrum(kernel: KernelSpec, j_max: int, quad_nodes: int | None = None
             f"quad_nodes={quad_nodes} too small for j_max={j_max}; need >= {j_max + 1}"
         )
 
+    from numpy.polynomial.hermite import hermgauss
     # orthonormality: G = S S^T with S_ji = h_j(t_i) sqrt(w_i e^{t_i^2}), symmetrized
     t, wq = hermgauss(quad_nodes)
     h = _hermite_functions(t, j_max - 1)

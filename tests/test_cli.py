@@ -233,6 +233,18 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["rkhs-spectrum", "--sigma2", "4", "--w", "1", "--j-max", "0"]) == 2
 
 
+def test_sample_file_errors_give_the_line_in_the_file(tmp_path, capsys):
+    # blank lines count: the short row is the file's fifth line
+    blank = tmp_path / "blank.csv"
+    blank.write_text("x1,x2\n\n0.1,0.2\n\n0.3\n")
+    assert main(["compute", str(blank), str(blank)]) == 2
+    assert f"{blank}:5: expected 2 values, got 1" in capsys.readouterr().err
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n0.1,0.2\n\n0.3,x\n")
+    assert main(["compute", str(bad), str(bad)]) == 2
+    assert f"{bad}:4: could not convert" in capsys.readouterr().err
+
+
 def test_overlay_errors_raise_while_building_the_config():
     base = {"experiment": "rate_two_sample", "d": 2, "n_grid": [8, 16], "mc_runs": 1}
     with pytest.raises(ConfigError, match="unknown overlay kind 'bogus'"):

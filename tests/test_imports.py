@@ -1,11 +1,19 @@
-"""scipy is loaded on first use: importing msw and running `msw compute` load
+"""Modules load on first use. `import msw` loads no submodule: each public
+name is read from its submodule when first asked for (PEP 562). `import
+msw.cli` loads msw.errors and nothing else of msw, and no numpy, so a
+malformed input exits before numpy loads. `msw compute` loads numpy and the
+search modules once its first sample file has parsed, and never the harness,
+its process pool or the ratio code; `msw rate` and `msw ratio` load the
+harness.
+
+scipy is loaded on first use too: importing msw and running `msw compute` load
 no scipy submodule, and each function that needs scipy imports it itself.
 The normal quantile is msw's own, so the vs-truth objective and the
 two-sample and RKHS runs never load scipy.special; the normal cdf (the ratio
 statistic, gaussian_law's cdf) still comes from it.
 
-Every check runs in a fresh interpreter, since the test process has scipy
-loaded already (the other test modules import it at their top).
+Every check runs in a fresh interpreter, since the test process has numpy and
+scipy loaded already (the other test modules import them at their top).
 """
 import ast
 import json
@@ -13,6 +21,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import msw
 
@@ -100,6 +110,92 @@ print(json.dumps({{"codes": codes, "loaded": {LOADED}}}))
     out = run_fresh(code, tmp_path)
     assert out["codes"] == [0, 2]
     assert out["loaded"] == []
+    assert json.loads((tmp_path / "out.json").read_text())["value"] > 0.0
+
+
+# msw.__all__ before the package loaded its names on demand
+PUBLIC_NAMES = [
+    "AnalyticCdf1d", "AssumptionReport", "BoundParams", "ConfigError", "DomainError",
+    "ExperimentConfig", "Gaussian", "KernelSpec", "MswError", "MswResult", "NumericError",
+    "OptimizerOpts", "Overlay", "ParetoProduct", "RateCurve", "RatioStatResult", "RatioTable",
+    "RkhsPushforward", "RngStream", "ScaleError", "SpecError", "SpectrumReport",
+    "UnsupportedDimensionError", "bounds", "check_assumptions", "check_spectrum",
+    "concentration_bound", "eigenfunction", "eigenvalue", "eigenvalue_bounds", "eigenvalues",
+    "emit", "empirical_law", "errors", "expectation_bound_exp_decay",
+    "expectation_bound_finite", "expectation_bound_poly_decay", "feature_coords",
+    "fit_loglog_slope", "gaussian_law", "harness", "load_rate_curve", "maxsliced", "measures",
+    "moment_bound", "moment_empirical", "msw_empirical", "msw_grid_oracle", "msw_vs_analytic",
+    "ot1d", "project", "ratio", "ratio_fixed_direction", "ratio_sup", "ratio_tail_bound",
+    "rkhs", "run_rate_experiment", "run_ratio_experiment", "sample", "shatter_count",
+    "vc_bound", "w1d_empirical", "w1d_vs_cdf", "wasserstein_full",
+]
+
+
+def test_every_public_name_resolves_on_demand(tmp_path):
+    code = """
+import json, types
+import msw
+names = sorted(msw.__all__)
+try:
+    msw.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print(json.dumps({
+    "all": names,
+    "unresolved": [n for n in names if getattr(msw, n, None) is None],
+    "modules": sorted(n for n in names if isinstance(getattr(msw, n), types.ModuleType)),
+    "not_in_dir": sorted(set(names) - set(dir(msw))),
+    "unknown": unknown,
+}))
+"""
+    out = run_fresh(code, tmp_path)
+    assert out["all"] == PUBLIC_NAMES
+    assert out["unresolved"] == []
+    assert out["modules"] == ["bounds", "errors", "harness", "maxsliced", "measures", "ot1d",
+                              "ratio", "rkhs"]
+    assert out["not_in_dir"] == []
+    assert out["unknown"] == "AttributeError"
+
+
+# the heavy modules that `import msw.cli` must leave unloaded
+HEAVY = ("numpy", "concurrent.futures", "multiprocessing")
+LOADED_MSW = "sorted(m for m in sys.modules if m.startswith('msw.'))"
+
+
+def test_import_cli_loads_neither_numpy_nor_the_pool(tmp_path):
+    code = f"""
+import json, sys
+import msw, msw.cli
+print(json.dumps({{"heavy": [m for m in {HEAVY!r} if m in sys.modules], "msw": {LOADED_MSW}}}))
+"""
+    out = run_fresh(code, tmp_path)
+    assert out == {"heavy": [], "msw": ["msw.cli", "msw.errors"]}
+
+
+def test_compute_loads_only_what_it_runs(tmp_path):
+    rng = np.random.default_rng(5)
+    np.savetxt(tmp_path / "x.csv", rng.standard_normal((30, 2)), delimiter=",")
+    np.savetxt(tmp_path / "y.csv", rng.standard_normal((20, 2)) + 1.0, delimiter=",")
+    (tmp_path / "ragged.csv").write_text("x1,x2\n0.1,0.2\n0.3\n")
+    unwanted = ("msw.harness", "msw.ratio", "msw.bounds", "concurrent.futures.process",
+                "numpy.polynomial")
+    code = f"""
+import json, sys
+import msw.cli
+ragged = msw.cli.main(["compute", "ragged.csv", "y.csv"])
+numpy_after_ragged = "numpy" in sys.modules
+valid = msw.cli.main(["compute", "x.csv", "y.csv", "--out", "out.json"])
+print(json.dumps({{
+    "codes": [ragged, valid],
+    "numpy_after_ragged": numpy_after_ragged,
+    "numpy_after_valid": "numpy" in sys.modules,
+    "unwanted": [m for m in {unwanted!r} if m in sys.modules],
+}}))
+"""
+    out = run_fresh(code, tmp_path)
+    assert out == {"codes": [2, 0], "numpy_after_ragged": False, "numpy_after_valid": True,
+                   "unwanted": []}
     assert json.loads((tmp_path / "out.json").read_text())["value"] > 0.0
 
 

@@ -284,7 +284,7 @@ def _directions(rng, r, d):
     [(200, 200, 3, None), (300, 170, 3, None), (1600, 50, 8, None),
      (150, 150, 2, 1), (160, 90, 2, 1), (1600, 50, 2, 1)],
 )
-def test_two_sample_objective_matches_stable_sort_reference(n, m, d, decimals):
+def test_two_sample_objective_matches_the_argsort_reference(n, m, d, decimals):
     rng = np.random.default_rng(n + m + d)
     x, y = rng.normal(size=(n, d)), rng.normal(size=(m, d)) + 0.5
     if decimals is not None:
