@@ -25,17 +25,13 @@ from .bounds import (
     expectation_bound_finite,
     expectation_bound_poly_decay,
 )
+# the sampler and the searches are read from their modules at each call, for
+# the reason given in maxsliced.py
+from . import maxsliced, measures, ratio
 from .errors import ConfigError, DomainError
-from .maxsliced import OptimizerOpts, msw_empirical, msw_vs_analytic
-from .measures import (
-    DistributionSpec,
-    Gaussian,
-    ParetoProduct,
-    RkhsPushforward,
-    RngStream,
-    sample,
-)
-from .ratio import ratio_sup, ratio_tail_bound
+from .maxsliced import OptimizerOpts
+from .measures import DistributionSpec, Gaussian, ParetoProduct, RkhsPushforward, RngStream
+from .ratio import ratio_tail_bound
 
 EXPERIMENTS = ("rate_vs_truth", "rate_two_sample", "ratio_exceedance", "rkhs_rate")
 
@@ -255,20 +251,21 @@ def _rate_trial(config: ExperimentConfig, n_index: int, trial: int):
     mu_stream, nu_stream, opt_stream, _ = _streams(config, n_index, trial)
     start = time.perf_counter()
     if config.experiment == "rate_vs_truth":
-        xs = sample(config.spec, n, mu_stream)
-        values = (msw_vs_analytic(xs, config.spec, config.p, config.optimizer, opt_stream).value,)
+        xs = measures.sample(config.spec, n, mu_stream)
+        result = maxsliced.msw_vs_analytic(xs, config.spec, config.p, config.optimizer, opt_stream)
+        values = (result.value,)
     elif config.experiment == "rate_two_sample":
-        xs = sample(config.spec, n, mu_stream)
-        ys = sample(config.spec, n, nu_stream)
-        values = (msw_empirical(xs, ys, config.p, config.optimizer, opt_stream).value,)
+        xs = measures.sample(config.spec, n, mu_stream)
+        ys = measures.sample(config.spec, n, nu_stream)
+        values = (maxsliced.msw_empirical(xs, ys, config.p, config.optimizer, opt_stream).value,)
     else:  # rkhs_rate: one latent draw shared across truncation levels
         spec = config.spec
         d_max = max(config.d_test_list)
         big = RkhsPushforward(spec.kernel, spec.eta2, d_max)
-        xs = sample(big, n, mu_stream)
-        ys = sample(big, n, nu_stream)
+        xs = measures.sample(big, n, mu_stream)
+        ys = measures.sample(big, n, nu_stream)
         values = tuple(
-            msw_empirical(
+            maxsliced.msw_empirical(
                 xs[:, :dt], ys[:, :dt], config.p, config.optimizer, opt_stream.child(k)
             ).value
             for k, dt in enumerate(config.d_test_list)
@@ -280,8 +277,8 @@ def _ratio_trial(config: ExperimentConfig, n_index: int, trial: int):
     n = config.n_grid[n_index]
     mu_stream, _, opt_stream, _ = _streams(config, n_index, trial)
     start = time.perf_counter()
-    xs = sample(config.spec, n, mu_stream)
-    value = ratio_sup(xs, config.spec, config.optimizer, opt_stream).value
+    xs = measures.sample(config.spec, n, mu_stream)
+    value = ratio.ratio_sup(xs, config.spec, config.optimizer, opt_stream).value
     return (value,), time.perf_counter() - start
 
 

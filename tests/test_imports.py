@@ -199,6 +199,26 @@ print(json.dumps({{
     assert json.loads((tmp_path / "out.json").read_text())["value"] > 0.0
 
 
+def test_the_tracer_leaves_no_wrapper_behind(tmp_path):
+    # the traced benchmark pass imports only msw.cli before the tracer installs,
+    # so the tracer loads the other modules itself, one target after another
+    code = f"""
+import importlib.util, json, sys
+import msw.cli
+spec = importlib.util.spec_from_file_location("tracing", {str(SRC.parent / "perfbench" / "tracing.py")!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+tracer.uninstall()
+originals = {{getattr(sys.modules[m], a) for m, a, _ in tracing.TARGETS if "." not in a}}
+print(json.dumps(sorted(
+    f"{{name}}.{{key}}" for name, mod in list(sys.modules.items()) if name.split(".")[0] == "msw"
+    for key, value in vars(mod).items() if getattr(value, "__wrapped__", None) in originals)))
+"""
+    assert run_fresh(code, tmp_path) == []
+
+
 SITES = """
 import json, math, sys
 import numpy as np
