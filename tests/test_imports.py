@@ -158,16 +158,13 @@ print(json.dumps({
     assert out["unknown"] == "AttributeError"
 
 
-# the heavy modules that `import msw.cli` must leave unloaded
-HEAVY = ("numpy", "concurrent.futures", "multiprocessing")
-LOADED_MSW = "sorted(m for m in sys.modules if m.startswith('msw.'))"
-
-
 def test_import_cli_loads_neither_numpy_nor_the_pool(tmp_path):
-    code = f"""
+    code = """
 import json, sys
 import msw, msw.cli
-print(json.dumps({{"heavy": [m for m in {HEAVY!r} if m in sys.modules], "msw": {LOADED_MSW}}}))
+heavy = ("numpy", "concurrent.futures", "multiprocessing")
+print(json.dumps({"heavy": [m for m in heavy if m in sys.modules],
+                  "msw": sorted(m for m in sys.modules if m.startswith("msw."))}))
 """
     out = run_fresh(code, tmp_path)
     assert out == {"heavy": [], "msw": ["msw.cli", "msw.errors"]}
