@@ -11,7 +11,8 @@ import importlib
 # submodule -> the public names it defines; the submodules are public names too
 _EXPORTS = {
     "bounds": ("BoundParams", "concentration_bound", "expectation_bound_exp_decay",
-               "expectation_bound_finite", "expectation_bound_poly_decay"),
+               "expectation_bound_finite", "expectation_bound_poly_decay", "ratio_tail_bound",
+               "vc_bound"),
     "errors": ("ConfigError", "DomainError", "MswError", "NumericError", "ScaleError",
                "SpecError", "UnsupportedDimensionError"),
     "harness": ("ExperimentConfig", "Overlay", "RateCurve", "RatioTable", "emit",
@@ -23,8 +24,7 @@ _EXPORTS = {
                  "moment_empirical", "sample"),
     "ot1d": ("AnalyticCdf1d", "empirical_law", "gaussian_law", "project", "w1d_empirical",
              "w1d_vs_cdf"),
-    "ratio": ("RatioStatResult", "ratio_fixed_direction", "ratio_sup", "ratio_tail_bound",
-              "shatter_count", "vc_bound"),
+    "ratio": ("RatioStatResult", "ratio_fixed_direction", "ratio_sup", "shatter_count"),
     "rkhs": ("AssumptionReport", "KernelSpec", "SpectrumReport", "check_assumptions",
              "check_spectrum", "eigenfunction", "eigenvalue", "eigenvalue_bounds",
              "eigenvalues", "feature_coords"),

@@ -1,4 +1,4 @@
-"""Evaluators for the theoretical rate and concentration bounds.
+"""Evaluators for the theoretical rate, concentration and VC bounds.
 
 Absolute constants that the theory leaves unspecified enter as the user
 parameters c_user and C_user (default 1), so curves produced with the
@@ -22,16 +22,18 @@ formula here has been checked against the paper's theorem statements.
 - expectation_bound_poly_decay: reconstructed from the abstract; theorem numbers unchecked.
 - concentration_bound "finite", "exp_decay" and "poly_decay": reconstructed from
   the abstract; theorem numbers unchecked.
-- concentration_bound "ratio_finite" (msw.ratio.ratio_tail_bound), "ratio_exp"
-  and "ratio_poly": reconstructed from the abstract; theorem numbers unchecked.
+- concentration_bound "ratio_finite" (ratio_tail_bound), "ratio_exp" and
+  "ratio_poly": reconstructed from the abstract; theorem numbers unchecked.
+- vc_bound: the polynomial bound on the labelings of n points by halfspaces
+  in dimension d, whose VC dimension is d + 1.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
-from .ratio import BoundValue, ratio_tail_bound
 
 CONCENTRATION_KINDS = ("finite", "exp_decay", "poly_decay", "ratio_finite", "ratio_exp", "ratio_poly")
 
@@ -74,6 +76,13 @@ class BoundParams:
         return self.gamma
 
 
+class BoundValue(NamedTuple):
+    """A theoretical bound before and after clipping to the probability range."""
+
+    raw: float
+    clipped: float
+
+
 def _exp(x: float) -> float:
     try:
         return math.exp(x)
@@ -110,6 +119,28 @@ def expectation_bound_poly_decay(params: BoundParams, n: int) -> float:
         )
     ln = _log2n1(n)
     return params.C_user * ln ** (params.p / params.s) / n ** (0.5 - 1.0 / (2.0 * params.p * gamma))
+
+
+def vc_bound(n: int, d: int, two_sided: bool = False) -> int:
+    """Polynomial shatter bound (n+1)^(d+1) for halfspaces in dimension d.
+
+    two_sided doubles the exponent, covering halfspaces together with their
+    complements. Exact integer arithmetic, so no overflow at any scale.
+    """
+    if n < 1 or d < 1:
+        raise DomainError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    exponent = (2 if two_sided else 1) * (d + 1)
+    return (n + 1) ** exponent
+
+
+def ratio_tail_bound(n: int, d: int, eps: float) -> BoundValue:
+    """Tail bound 8 exp((d+1) log(2n+1) - n eps^2 / 4) on the ratio statistic."""
+    if n < 1 or d < 1:
+        raise DomainError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    if eps < 0.0:
+        raise DomainError(f"threshold must be nonnegative, got {eps}")
+    raw = 8.0 * _exp((d + 1) * _log2n1(n) - n * eps * eps / 4.0)
+    return BoundValue(raw=raw, clipped=min(1.0, raw))
 
 
 def concentration_bound(kind: str, params: BoundParams, n: int, eps: float) -> BoundValue:

@@ -63,42 +63,33 @@ def _typed(key: str, value, kind: str):
     return cast(value)
 
 
-def _split_top_level(value: str) -> list[str]:
-    """Split on commas that are not nested inside parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in value:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+def _read_text(path, what: str) -> str:
+    """The text of a UTF-8 file; an unreadable file is an OSError (exit 4) and
+    one that is not UTF-8 a DomainError (exit 2), each naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{what} {path} is not UTF-8: {exc}") from exc
 
 
 def parse_config_file(path) -> dict:
     """Read a `key = value` config file; '#' starts a comment.
 
-    Comma-separated values become lists; integer and float tokens are
-    converted, everything else stays a string.
+    Comma-separated values become lists, except that a value containing '('
+    (a covariance form such as diag(4, 1)) stays one token; integer and float
+    tokens are converted, everything else stays a string.
     """
     mapping: dict = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, "config file").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        parts = _split_top_level(value.strip())
+        parts = [value] if "(" in value else value.split(",")
         parsed = [_parse_scalar(p) for p in parts if p.strip() != ""]
         if not parsed:
             raise ConfigError(f"{path}:{lineno}: {key.strip()!r} has no value")
@@ -222,10 +213,7 @@ def load_sample_file(path) -> np.ndarray:
     """CSV sample matrix, one point per row; blank lines and a leading
     x1,...,xd header are skipped, and an error names the row's line in the file.
     Every row is checked before numpy is imported."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot read sample file {path}: {exc}") from exc
+    text = _read_text(path, "sample file")
     lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise DomainError(f"sample file {path} is empty")
@@ -352,21 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_compute)
 
-    r = sub.add_parser("rate", help="Monte Carlo rate experiment from a config file")
-    r.add_argument("--config", required=True)
-    r.add_argument("--seed", type=int, default=None, help="override master_seed")
-    r.add_argument("--out", required=True)
-    r.add_argument("--format", choices=("csv", "json"), default="csv")
-    r.add_argument("--threads", type=int, default=1, help="worker count; 0 = auto")
-    r.set_defaults(func=_cmd_rate)
-
-    q = sub.add_parser("ratio", help="ratio-statistic exceedance experiment")
-    q.add_argument("--config", required=True)
-    q.add_argument("--seed", type=int, default=None)
-    q.add_argument("--out", required=True)
-    q.add_argument("--format", choices=("csv", "json"), default="csv")
-    q.add_argument("--threads", type=int, default=1)
-    q.set_defaults(func=_cmd_ratio)
+    for name, func, help_text in (
+        ("rate", _cmd_rate, "Monte Carlo rate experiment from a config file"),
+        ("ratio", _cmd_ratio, "ratio-statistic exceedance experiment"),
+    ):
+        e = sub.add_parser(name, help=help_text)
+        e.add_argument("--config", required=True)
+        e.add_argument("--seed", type=int, default=None, help="override master_seed")
+        e.add_argument("--out", required=True)
+        e.add_argument("--format", choices=("csv", "json"), default="csv")
+        e.add_argument("--threads", type=int, default=1, help="worker count; 0 = auto")
+        e.set_defaults(func=func)
 
     s = sub.add_parser("rkhs-spectrum", help="eigenvalue table and spectrum checks")
     s.add_argument("--sigma2", type=float, required=True)

@@ -24,6 +24,7 @@ from .bounds import (
     expectation_bound_exp_decay,
     expectation_bound_finite,
     expectation_bound_poly_decay,
+    ratio_tail_bound,
 )
 # the sampler and the searches are read from their modules at each call, for
 # the reason given in maxsliced.py
@@ -31,7 +32,6 @@ from . import maxsliced, measures, ratio
 from .errors import ConfigError, DomainError
 from .maxsliced import OptimizerOpts
 from .measures import DistributionSpec, Gaussian, ParetoProduct, RkhsPushforward, RngStream
-from .ratio import ratio_tail_bound
 
 EXPERIMENTS = ("rate_vs_truth", "rate_two_sample", "ratio_exceedance", "rkhs_rate")
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import ot1d
 from .errors import DomainError, ScaleError, SpecError, UnsupportedDimensionError
 from .measures import Gaussian, RngStream, as_samples
-from .ot1d import _normal_quantile_blocks, gaussian_law, project, quantile_blocks
+from .ot1d import _normal_quantile_blocks, _projected_law, project, quantile_blocks
 
 # direction grids used only to seed the local search in low dimension
 _SEED_GRID = {2: 256, 3: 1024}
@@ -253,8 +253,8 @@ class _AnalyticObjective:
         if self.p == 2.0:
             vals = self._closed_form(project(self.x, theta)[:, None], theta[None, :])[0]
             return math.sqrt(vals[0])
-        law = gaussian_law(float(theta @ self.mean), float(theta @ self.cov @ theta))
-        return ot1d.w1d_vs_cdf(project(self.x, theta), law, self.p)
+        # the objective's mean and cov are the spec's
+        return ot1d.w1d_vs_cdf(project(self.x, theta), _projected_law(self, theta), self.p)
 
 
 def _value_on_grid(objective, dirs: np.ndarray) -> np.ndarray:

@@ -160,6 +160,14 @@ def gaussian_law(mean: float, var: float) -> AnalyticCdf1d:
     )
 
 
+def _projected_law(spec, theta: np.ndarray) -> AnalyticCdf1d:
+    """The law of <theta, X> for X ~ N(spec.mean, spec.cov). The variance is
+    floored at 1e-300, so a direction in the covariance's null space gives a
+    near point mass, not an error."""
+    var = float(theta @ spec.cov @ theta)
+    return gaussian_law(float(theta @ spec.mean), max(var, 1e-300))
+
+
 def empirical_law(values) -> AnalyticCdf1d:
     """The empirical distribution of a 1-d sample as a tabulated AnalyticCdf1d."""
     v = np.sort(np.asarray(values, dtype=np.float64).ravel())
@@ -190,29 +198,16 @@ def quantile_blocks(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Blocks of the merged quantile grid {i/n} union {j/m}.
 
     Returns (widths, xi, yj): on block k both empirical quantile functions are
-    constant, equal to the xi[k]-th and yj[k]-th order statistics. Breakpoints
-    are compared exactly via cross-multiplication, so no block is ever split
-    or merged by floating-point noise. Arrays are cached; treat as read-only.
+    constant, equal to the xi[k]-th and yj[k]-th order statistics. In units of
+    1/(nm) the breakpoints are the integers i*m and j*n, merged exactly, so no
+    block is ever split or merged by floating-point noise. Arrays are cached;
+    treat as read-only.
     """
-    widths, xi, yj = [], [], []
-    i = j = 0
-    u = 0.0
-    while i < n and j < m:
-        lhs, rhs = (i + 1) * m, (j + 1) * n
-        u_next = (i + 1) / n if lhs <= rhs else (j + 1) / m
-        widths.append(u_next - u)
-        xi.append(i)
-        yj.append(j)
-        u = u_next
-        if lhs <= rhs:
-            i += 1
-        if rhs <= lhs:
-            j += 1
-    return (
-        np.asarray(widths),
-        np.asarray(xi, dtype=np.intp),
-        np.asarray(yj, dtype=np.intp),
-    )
+    bx, by = np.arange(1, n + 1) * m, np.arange(1, m + 1) * n
+    ends = np.union1d(bx, by)
+    xi, yj = np.searchsorted(bx, ends), np.searchsorted(by, ends)
+    u = np.where(ends % m == 0, (xi + 1) / n, (yj + 1) / m)
+    return np.diff(u, prepend=0.0), xi, yj
 
 
 def w1d_empirical(xs, ys, p: float) -> float:

@@ -1,4 +1,4 @@
-"""Uniform ratio statistics over halfspaces, exact shatter counts, VC bounds.
+"""Uniform ratio statistics over halfspaces and exact shatter counts.
 
 ratio_sup maximizes over directions with the max-sliced search, _run_search.
 """
@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NumericError, ScaleError, SpecError
 from .maxsliced import OptimizerOpts, _argsort_columns, _run_search
 from .measures import Gaussian, RngStream, as_samples
-from .ot1d import AnalyticCdf1d, _ndtr, gaussian_law, project
+from .ot1d import AnalyticCdf1d, _ndtr, _projected_law, project
 
 _BRANCH_TRUTH = "truth_minus_empirical"      # (F - F_n) / sqrt(F)
 _BRANCH_EMPIRICAL = "empirical_minus_truth"  # (F_n - F) / sqrt(F_n)
@@ -73,11 +72,6 @@ def ratio_fixed_direction(xs, theta, law: AnalyticCdf1d) -> RatioStatResult:
         branch=_BRANCH_TRUTH if f_star >= fn[i + 1 - left, 0] else _BRANCH_EMPIRICAL,
         side="left" if left else "at",
     )
-
-
-def _projected_law(spec: Gaussian, theta: np.ndarray) -> AnalyticCdf1d:
-    var = float(theta @ spec.cov @ theta)
-    return gaussian_law(float(theta @ spec.mean), max(var, 1e-300))
 
 
 class _RatioObjective:
@@ -193,36 +187,3 @@ def shatter_count(points) -> int:
         for val in np.unique(v):
             labelings.add(tuple(v <= val))
     return len(labelings)
-
-
-def vc_bound(n: int, d: int, two_sided: bool = False) -> int:
-    """Polynomial shatter bound (n+1)^(d+1) for halfspaces in dimension d.
-
-    two_sided doubles the exponent, covering halfspaces together with their
-    complements. Exact integer arithmetic, so no overflow at any scale.
-    """
-    if n < 1 or d < 1:
-        raise DomainError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    exponent = (2 if two_sided else 1) * (d + 1)
-    return (n + 1) ** exponent
-
-
-class BoundValue(NamedTuple):
-    """A theoretical bound before and after clipping to the probability range."""
-
-    raw: float
-    clipped: float
-
-
-def ratio_tail_bound(n: int, d: int, eps: float) -> BoundValue:
-    """Tail bound 8 exp((d+1) log(2n+1) - n eps^2 / 4) on the ratio statistic."""
-    if n < 1 or d < 1:
-        raise DomainError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    if eps < 0.0:
-        raise DomainError(f"threshold must be nonnegative, got {eps}")
-    exponent = (d + 1) * math.log(2.0 * n + 1.0) - n * eps * eps / 4.0
-    try:
-        raw = 8.0 * math.exp(exponent)
-    except OverflowError:
-        raw = math.inf
-    return BoundValue(raw=raw, clipped=min(1.0, raw))

@@ -245,6 +245,35 @@ def test_sample_file_errors_give_the_line_in_the_file(tmp_path, capsys):
     assert f"{bad}:4: could not convert" in capsys.readouterr().err
 
 
+def test_non_utf8_input_exits_2_and_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff0.1,0.2\n0.3,0.4\n")
+    good = tmp_path / "good.csv"
+    write_samples(good, np.random.default_rng(2).normal(size=(6, 2)))
+    out = tmp_path / "compute.json"
+    assert main(["compute", str(bad), str(good), "--out", str(out)]) == 2
+    assert f"sample file {bad} is not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"experiment = rate_two_sample\nd = 2\n# \xff\n")
+    out = tmp_path / "curve.csv"
+    assert main(["rate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config file {cfg} is not UTF-8" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".meta.json").exists()
+
+
+def test_config_file_values_with_a_parenthesis_are_one_token(tmp_path):
+    cfg = tmp_path / "diag.cfg"
+    cfg.write_text("experiment = rate_vs_truth\nd = 2\ncovariance = diag(4, 1)\n")
+    assert parse_config_file(cfg)["covariance"] == "diag(4, 1)"
+    config, _ = config_from_mapping(parse_config_file(cfg))
+    assert np.array_equal(config.spec.cov, np.diag([4.0, 1.0]))
+    cfg.write_text("experiment = rate_vs_truth\nd = 2\nn_grid = 10, (20\n")
+    out = tmp_path / "curve.csv"
+    assert main(["rate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_overlay_errors_raise_while_building_the_config():
     base = {"experiment": "rate_two_sample", "d": 2, "n_grid": [8, 16], "mc_runs": 1}
     with pytest.raises(ConfigError, match="unknown overlay kind 'bogus'"):

@@ -170,6 +170,22 @@ print(json.dumps({"heavy": [m for m in heavy if m in sys.modules],
     assert out == {"heavy": [], "msw": ["msw.cli", "msw.errors"]}
 
 
+def test_bounds_loads_only_the_errors_module(tmp_path):
+    code = """
+import json, sys
+import msw.bounds
+print(json.dumps({"numpy": "numpy" in sys.modules,
+                  "msw": sorted(m for m in sys.modules if m.startswith("msw."))}))
+"""
+    assert run_fresh(code, tmp_path) == {"numpy": False, "msw": ["msw.bounds", "msw.errors"]}
+
+
+def test_the_ratio_and_vc_bounds_resolve_to_msw_bounds():
+    for name in ("ratio_tail_bound", "vc_bound"):
+        assert getattr(msw, name) is getattr(msw.bounds, name)
+        assert getattr(msw, name).__module__ == "msw.bounds"
+
+
 def test_compute_loads_only_what_it_runs(tmp_path):
     rng = np.random.default_rng(5)
     np.savetxt(tmp_path / "x.csv", rng.standard_normal((30, 2)), delimiter=",")

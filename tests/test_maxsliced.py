@@ -218,6 +218,22 @@ def test_vs_analytic_d1_and_spec_errors():
         msw_vs_analytic([[1.0, 1.0]], ParetoProduct(8.0, 2), 2.0, FAST, RngStream(0))
 
 
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_vs_analytic_singular_gaussian_at_p_not_2(p):
+    # points that vary only along the covariance's null space: the winning
+    # direction projects the law to a point mass at 0, so W_p is the p-th
+    # moment of the projections (3 at p = 1, 45^(1/3) at p = 3)
+    t = np.arange(1.0, 6.0)
+    expected = np.mean(t**p) ** (1.0 / p)
+    xs = np.zeros((5, 3))
+    xs[:, 2] = t
+    spec = Gaussian(np.zeros(3), np.diag([1.0, 1.0, 0.0]))
+    assert msw_vs_analytic(xs, spec, p, FAST, RngStream(0)).value == pytest.approx(expected, rel=1e-9)
+    point_mass = Gaussian(np.zeros(1), np.zeros((1, 1)))
+    res = msw_vs_analytic(t[:, None], point_mass, p, FAST, RngStream(0))
+    assert res.value == pytest.approx(expected, rel=1e-9)
+
+
 def _reference_two_sample_value_and_grad(obj, th):
     """The two-sample objective as computed with a per-column argsort and np.add.at."""
     px, py = obj.x @ th.T, obj.y @ th.T

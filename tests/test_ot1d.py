@@ -9,7 +9,7 @@ from scipy.special import ndtri
 
 from msw import DomainError, empirical_law, gaussian_law, project, w1d_empirical, w1d_vs_cdf
 from msw.harness import DEFAULT_N_GRID
-from msw.ot1d import _integration_cells, _leggauss, _ndtri
+from msw.ot1d import _integration_cells, _leggauss, _ndtri, quantile_blocks
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0)
 small_samples = st.lists(finite_floats, min_size=1, max_size=9).map(sorted)
@@ -212,3 +212,38 @@ def test_ndtri_edges_match_scipy():
     assert out[2] == np.inf
     assert np.all(np.isnan(out[3:]))
     np.testing.assert_array_equal(out, ndtri(u))
+
+
+def reference_quantile_blocks(n: int, m: int):
+    """The merged quantile grid {i/n} union {j/m} by a two-pointer walk that
+    compares the breakpoints (i+1)/n and (j+1)/m by cross-multiplication."""
+    widths, xi, yj = [], [], []
+    i = j = 0
+    u = 0.0
+    while i < n and j < m:
+        lhs, rhs = (i + 1) * m, (j + 1) * n
+        u_next = (i + 1) / n if lhs <= rhs else (j + 1) / m
+        widths.append(u_next - u)
+        xi.append(i)
+        yj.append(j)
+        u = u_next
+        if lhs <= rhs:
+            i += 1
+        if rhs <= lhs:
+            j += 1
+    return (
+        np.asarray(widths),
+        np.asarray(xi, dtype=np.intp),
+        np.asarray(yj, dtype=np.intp),
+    )
+
+
+def test_quantile_blocks_match_the_two_pointer_reference():
+    sizes = [*itertools.product(range(1, 61), repeat=2), (1600, 1200), (6000, 5999),
+             (4096, 3), (3, 4096)]
+    mismatched = [
+        (n, m) for n, m in sizes
+        if not all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(quantile_blocks(n, m), reference_quantile_blocks(n, m)))
+    ]
+    assert mismatched == []
