@@ -4,7 +4,8 @@ msw.cli` loads msw.errors and nothing else of msw, and no numpy, so a
 malformed input exits before numpy loads. `msw compute` loads numpy and the
 search modules once its first sample file has parsed, and never the harness,
 its process pool or the ratio code; `msw rate` and `msw ratio` load the
-harness.
+harness. `import msw.bounds`, the closed-form bound formulas, loads
+msw.errors and nothing else of msw, and no numpy.
 
 scipy is loaded on first use too: importing msw and running `msw compute` load
 no scipy submodule, and each function that needs scipy imports it itself.
