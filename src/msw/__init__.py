@@ -22,8 +22,7 @@ _EXPORTS = {
                   "msw_vs_analytic", "wasserstein_full"),
     "measures": ("Gaussian", "ParetoProduct", "RkhsPushforward", "RngStream", "moment_bound",
                  "moment_empirical", "sample"),
-    "ot1d": ("AnalyticCdf1d", "empirical_law", "gaussian_law", "project", "w1d_empirical",
-             "w1d_vs_cdf"),
+    "ot1d": ("AnalyticCdf1d", "gaussian_law", "project", "w1d_empirical", "w1d_vs_cdf"),
     "ratio": ("RatioStatResult", "ratio_fixed_direction", "ratio_sup", "shatter_count"),
     "rkhs": ("AssumptionReport", "KernelSpec", "SpectrumReport", "check_assumptions",
              "check_spectrum", "eigenfunction", "eigenvalue", "eigenvalue_bounds",

@@ -64,10 +64,11 @@ def _typed(key: str, value, kind: str):
 
 
 def _read_text(path, what: str) -> str:
-    """The text of a UTF-8 file; an unreadable file is an OSError (exit 4) and
-    one that is not UTF-8 a DomainError (exit 2), each naming the file."""
+    """The text of a UTF-8 file, without a leading byte-order mark; an
+    unreadable file is an OSError (exit 4) and one that is not UTF-8 a
+    DomainError (exit 2), each naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise OSError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

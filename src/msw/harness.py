@@ -29,7 +29,7 @@ from .bounds import (
 # the sampler and the searches are read from their modules at each call, for
 # the reason given in maxsliced.py
 from . import maxsliced, measures, ratio
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericError
 from .maxsliced import OptimizerOpts
 from .measures import DistributionSpec, Gaussian, ParetoProduct, RkhsPushforward, RngStream
 
@@ -312,6 +312,9 @@ def _run_items(worker, config: ExperimentConfig, threads: int):
 
 
 def _aggregate(config: ExperimentConfig, vals: np.ndarray, walls: np.ndarray, workers: int) -> RateCurve:
+    bad = [n for n, row in zip(config.n_grid, vals) if not np.isfinite(row).all()]
+    if bad:
+        raise NumericError(f"a trial at n = {bad[0]} gave a non-finite statistic")
     n_count = len(config.n_grid)
     if config.mc_runs > 1:
         stderrs = vals.std(axis=1, ddof=1) / math.sqrt(config.mc_runs)

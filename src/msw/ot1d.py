@@ -1,18 +1,23 @@
-"""Exact one-dimensional Wasserstein distances through quantile couplings."""
+"""One-dimensional Wasserstein distances through quantile couplings.
+
+Between two empirical measures the distance is exact. The one law msw compares
+a sample with is N(mean, sd^2), a Gaussian spec projected along a direction;
+its quantiles at the quadrature nodes come from cached Phi^-1 tables, shared
+with the analytic objective of msw.maxsliced.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NumericError
 from .measures import as_samples
 
-# unbounded quantile functions diverge at {0, 1}; integration endpoints are
-# clipped here, where the omitted mass is far below every stated tolerance
+# Phi^-1 diverges at {0, 1}; integration endpoints are clipped here, where the
+# omitted mass is far below every stated tolerance
 _U_CLIP = 1e-12
 
 # cephes ndtri (S. Moshier, Methods and Programs for Mathematical Functions,
@@ -122,42 +127,39 @@ def as_sorted_sample(values) -> np.ndarray:
 
 
 def project(samples, theta) -> np.ndarray:
-    """Sorted inner products <x_i, theta> of the rows with a direction."""
+    """Sorted inner products <x_i, theta> of the rows with a direction; a
+    product that overflows is a NumericError."""
     arr = as_samples(samples)
     th = np.asarray(theta, dtype=np.float64).ravel()
     if th.size != arr.shape[1]:
         raise DomainError(
             f"direction has dimension {th.size}, samples have dimension {arr.shape[1]}"
         )
-    return np.sort(arr @ th)
+    proj = arr @ th
+    if not np.all(np.isfinite(proj)):
+        raise NumericError("projections along theta are not finite (overflow)")
+    return np.sort(proj)
 
 
 @dataclass(frozen=True)
 class AnalyticCdf1d:
-    """A one-dimensional law given by its cdf and quantile function.
+    """The one-dimensional law N(mean, sd^2), with its cdf and quantile function."""
 
-    quantile_jumps lists interior u-values where the quantile function is
-    discontinuous (empirical laws); quadrature against the law refines its
-    integration cells there so step laws integrate exactly. cdf_left supplies
-    the left limit t -> F(t-) for laws with atoms; None means the cdf is
-    continuous and its own left limit.
-    """
+    mean: float
+    sd: float
 
-    cdf: Callable[[np.ndarray], np.ndarray]
-    quantile: Callable[[np.ndarray], np.ndarray]
-    quantile_jumps: np.ndarray | None = None
-    cdf_left: Callable[[np.ndarray], np.ndarray] | None = None
+    def cdf(self, t) -> np.ndarray:
+        return _ndtr((np.asarray(t, dtype=np.float64) - self.mean) / self.sd)
+
+    def quantile(self, u) -> np.ndarray:
+        return self.mean + self.sd * _ndtri(u)
 
 
 def gaussian_law(mean: float, var: float) -> AnalyticCdf1d:
     """N(mean, var) as an AnalyticCdf1d; var may be tiny but must be positive."""
     if not var > 0.0:
         raise DomainError(f"variance must be positive, got {var}")
-    sd = float(np.sqrt(var))
-    return AnalyticCdf1d(
-        cdf=lambda t: _ndtr((np.asarray(t, dtype=np.float64) - mean) / sd),
-        quantile=lambda u: mean + sd * _ndtri(u),
-    )
+    return AnalyticCdf1d(mean, float(np.sqrt(var)))
 
 
 def _projected_law(spec, theta: np.ndarray) -> AnalyticCdf1d:
@@ -166,31 +168,6 @@ def _projected_law(spec, theta: np.ndarray) -> AnalyticCdf1d:
     near point mass, not an error."""
     var = float(theta @ spec.cov @ theta)
     return gaussian_law(float(theta @ spec.mean), max(var, 1e-300))
-
-
-def empirical_law(values) -> AnalyticCdf1d:
-    """The empirical distribution of a 1-d sample as a tabulated AnalyticCdf1d."""
-    v = np.sort(np.asarray(values, dtype=np.float64).ravel())
-    if v.size < 1 or not np.all(np.isfinite(v)):
-        raise DomainError("empirical law needs a nonempty finite sample")
-    m = v.size
-
-    def cdf(t):
-        return np.searchsorted(v, np.asarray(t, dtype=np.float64), side="right") / m
-
-    def cdf_left(t):
-        return np.searchsorted(v, np.asarray(t, dtype=np.float64), side="left") / m
-
-    def quantile(u):
-        k = np.ceil(np.asarray(u, dtype=np.float64) * m).astype(np.intp)
-        return v[np.clip(k - 1, 0, m - 1)]
-
-    return AnalyticCdf1d(
-        cdf=cdf,
-        quantile=quantile,
-        quantile_jumps=np.arange(1, m) / m,
-        cdf_left=cdf_left,
-    )
 
 
 @lru_cache(maxsize=512)
@@ -232,28 +209,15 @@ def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(nodes)
 
 
-def _integration_cells(n: int, jumps: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clipped block edges refined at quantile jumps; returns (lo, hi, block index)."""
-    edges = np.clip(np.arange(n + 1) / n, _U_CLIP, 1.0 - _U_CLIP)
-    if jumps is not None and len(jumps) > 0:
-        interior = jumps[(jumps > _U_CLIP) & (jumps < 1.0 - _U_CLIP)]
-        edges = np.union1d(edges, interior)
-    lo, hi = edges[:-1], edges[1:]
-    keep = hi > lo
-    lo, hi = lo[keep], hi[keep]
-    inner = np.arange(1, n) / n
-    idx = np.searchsorted(inner, 0.5 * (lo + hi), side="left")
-    return lo, hi, idx
-
-
 @lru_cache(maxsize=32)
 def _normal_quantile_blocks(n: int, nodes: int | None) -> tuple[np.ndarray, ...]:
     """The standard normal quantile Phi^-1 over the n blocks ((i-1)/n, i/n].
 
     With nodes None this is (g,), the block integrals g_i = phi(z_{i-1}) -
     phi(z_i), z_i = Phi^-1(i/n) and phi(z_0) = phi(z_n) = 0. Otherwise it is
-    (weights, quantiles) at nodes Gauss-Legendre nodes per clipped block, each
-    of shape (n, nodes). Cached per (n, nodes) and read-only.
+    (weights, quantiles) at nodes Gauss-Legendre nodes per block, each of shape
+    (n, nodes); the block edges are clipped to [_U_CLIP, 1 - _U_CLIP], where
+    Phi^-1 is finite. Cached per (n, nodes) and read-only.
     """
     if nodes is None:
         pdf = np.zeros(n + 1)
@@ -261,7 +225,8 @@ def _normal_quantile_blocks(n: int, nodes: int | None) -> tuple[np.ndarray, ...]
         pdf[1:-1] = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         tables = (pdf[:-1] - pdf[1:],)
     else:
-        lo, hi, _ = _integration_cells(n, None)
+        edges = np.clip(np.arange(n + 1) / n, _U_CLIP, 1.0 - _U_CLIP)
+        lo, hi = edges[:-1], edges[1:]
         t, v = _leggauss(nodes)
         u = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t[None, :]
         tables = (0.5 * (hi - lo)[:, None] * v[None, :], _ndtri(u))
@@ -271,27 +236,22 @@ def _normal_quantile_blocks(n: int, nodes: int | None) -> tuple[np.ndarray, ...]
 
 
 def w1d_vs_cdf(xs, law: AnalyticCdf1d, p: float, nodes_per_block: int = 32) -> float:
-    """Order-p Wasserstein distance between an empirical measure and a law.
+    """Order-p Wasserstein distance between an empirical measure and N(mean, sd^2).
 
-    Integrates |x_(i) - Q(u)|^p over each quantile block ((i-1)/n, i/n] by
-    fixed-order Gauss-Legendre quadrature with nodes_per_block nodes, the
-    endpoints clipped away from {0, 1} where Q may diverge.
+    Integrates |x_(i) - mean - sd Phi^-1(u)|^p over each quantile block
+    ((i-1)/n, i/n] by fixed-order Gauss-Legendre quadrature with
+    nodes_per_block nodes, the endpoints clipped away from {0, 1} where Phi^-1
+    diverges. The nodes, weights and Phi^-1 values are the cached tables of
+    _normal_quantile_blocks, which the analytic objective reads too.
     """
     if not p >= 1.0:
         raise DomainError(f"order p must be >= 1, got {p}")
     if nodes_per_block < 1:
         raise DomainError(f"nodes_per_block must be >= 1, got {nodes_per_block}")
     x = as_sorted_sample(xs)
-    n = x.size
-    lo, hi, idx = _integration_cells(n, law.quantile_jumps)
-    t, v = _leggauss(nodes_per_block)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    u = mid[:, None] + half[:, None] * t[None, :]
-    w = half[:, None] * v[None, :]
-    q = np.asarray(law.quantile(u.ravel()), dtype=np.float64)
+    w, z = _normal_quantile_blocks(x.size, nodes_per_block)
+    q = law.mean + law.sd * z
     if not np.all(np.isfinite(q)):
-        bad = u.ravel()[int(np.argmin(np.isfinite(q)))]
-        raise NumericError(f"quantile evaluation failed at u={bad!r}")
-    diff = np.abs(x[idx][:, None] - q.reshape(u.shape))
+        raise NumericError(f"quantiles of N({law.mean!r}, {law.sd!r}^2) are not finite")
+    diff = np.abs(x[:, None] - q)
     return float(np.sum(w * diff**p) ** (1.0 / p))

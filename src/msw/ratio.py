@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ScaleError, SpecError
+from .errors import DomainError, ScaleError, SpecError
 from .maxsliced import OptimizerOpts, _argsort_columns, _run_search
 from .measures import Gaussian, RngStream, as_samples
 from .ot1d import AnalyticCdf1d, _ndtr, _projected_law, project
@@ -33,12 +33,12 @@ class RatioStatResult:
     side: str = "at"
 
 
-def _best_piece(f_at: np.ndarray, f_left: np.ndarray, fn: np.ndarray):
+def _best_piece(f: np.ndarray, fn: np.ndarray):
     """Per column of cdf values at the sorted projections, with fn = 0, 1/n, ..., 1:
     the statistic, the active piece's row and whether it is a left limit.
     Ties go to the first "at" piece, then to the first left limit."""
-    n = f_at.shape[0]
-    f, g = np.concatenate([f_at, f_left]), np.concatenate([fn[1:], fn[:-1]])
+    n = f.shape[0]
+    f, g = np.concatenate([f, f]), np.concatenate([fn[1:], fn[:-1]])
     denom = np.sqrt(np.maximum(f, g))
     cand = np.divide(np.abs(f - g), denom, out=np.zeros(denom.shape), where=denom > 0.0)
     best = np.argmax(cand, axis=0)
@@ -51,20 +51,16 @@ def ratio_fixed_direction(xs, theta, law: AnalyticCdf1d) -> RatioStatResult:
     The sup over t is attained on the closure of the jump set of the
     empirical cdf, so it is computed exactly by checking both one-sided
     limits at every sorted projection value: the monotone pieces between
-    jumps take their extremes at those endpoints. Left limits pair the law's
-    left-limit cdf with F_n(t_i-) = (i-1)/n, which matters for laws with
-    atoms at the sample points.
+    jumps take their extremes at those endpoints. The Gaussian law has no
+    atoms, so both limits share its cdf value F(t_i); the left limit pairs it
+    with F_n(t_i-) = (i-1)/n.
     """
     t = project(xs, theta)
-    f_at = np.asarray(law.cdf(t), dtype=np.float64)
-    f_left = f_at if law.cdf_left is None else np.asarray(law.cdf_left(t), dtype=np.float64)
-    if not (np.all(np.isfinite(f_at)) and np.all(np.isfinite(f_left))):
-        bad = t[int(np.argmin(np.isfinite(f_at) & np.isfinite(f_left)))]
-        raise NumericError(f"cdf evaluation failed at t={bad!r}")
+    f = law.cdf(t)
     fn = (np.arange(t.size + 1) / t.size)[:, None]
-    value, row, left = _best_piece(f_at[:, None], f_left[:, None], fn)
+    value, row, left = _best_piece(f[:, None], fn)
     i, left = int(row[0]), bool(left[0])
-    f_star = (f_left if left else f_at)[i]
+    f_star = f[i]
     return RatioStatResult(
         value=float(value[0]),
         arg_theta=np.asarray(theta, dtype=np.float64),
@@ -98,7 +94,7 @@ class _RatioObjective:
         sd = np.sqrt(np.maximum(np.einsum("rd,rd->r", sig_th, th), 1e-300))
         z = (sx - th @ self.spec.mean) / sd
         f = _ndtr(z)
-        return sig_th, sd, z, f, _best_piece(f, f, self.fn)
+        return sig_th, sd, z, f, _best_piece(f, self.fn)
 
     def value(self, th: np.ndarray) -> np.ndarray:
         return self._pieces(np.sort(self.x @ th.T, axis=0), th)[-1][0]

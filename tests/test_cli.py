@@ -262,6 +262,50 @@ def test_non_utf8_input_exits_2_and_names_the_file(tmp_path, capsys):
     assert not out.exists() and not out.with_suffix(".meta.json").exists()
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    arr = np.random.default_rng(5).normal(size=(3, 2))
+    plain = tmp_path / "plain.csv"
+    write_samples(plain, arr)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert np.array_equal(load_sample_file(marked), arr)
+
+
+def test_a_config_file_with_a_byte_order_mark_runs(tmp_path):
+    cfg = tmp_path / "marked.cfg"
+    cfg.write_bytes(
+        b"\xef\xbb\xbfexperiment = rate_two_sample\ndistribution = gaussian\nd = 2\n"
+        b"n_grid = 8, 16, 32\nmc_runs = 1\nrestarts = 2\nmax_iters = 10\n"
+    )
+    out = tmp_path / "curve.csv"
+    assert main(["rate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert load_rate_curve(out, "csv").n.tolist() == [8, 16, 32]
+
+
+def test_projection_overflow_exits_3(tmp_path, capsys):
+    big, small = tmp_path / "big.csv", tmp_path / "small.csv"
+    write_samples(big, np.array([[1e308, 1e308], [-1e308, 1e308], [1.5e308, -1.2e308]]))
+    write_samples(small, np.random.default_rng(6).normal(size=(3, 2)))
+    out = tmp_path / "compute.json"
+    with np.errstate(all="ignore"):
+        assert main(["compute", str(big), str(small), "--out", str(out)]) == 3
+    assert "numeric error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_non_finite_statistic_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "huge_p.cfg"
+    cfg.write_text(
+        "experiment = rate_vs_truth\ndistribution = gaussian\nd = 2\np = 1e308\n"
+        "n_grid = 20, 40\nmc_runs = 3\nrestarts = 2\nmax_iters = 10\n"
+    )
+    out = tmp_path / "curve.csv"
+    with np.errstate(all="ignore"):
+        assert main(["rate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "non-finite statistic" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".meta.json").exists()
+
+
 def test_config_file_values_with_a_parenthesis_are_one_token(tmp_path):
     cfg = tmp_path / "diag.cfg"
     cfg.write_text("experiment = rate_vs_truth\nd = 2\ncovariance = diag(4, 1)\n")

@@ -122,7 +122,7 @@ PUBLIC_NAMES = [
     "RkhsPushforward", "RngStream", "ScaleError", "SpecError", "SpectrumReport",
     "UnsupportedDimensionError", "bounds", "check_assumptions", "check_spectrum",
     "concentration_bound", "eigenfunction", "eigenvalue", "eigenvalue_bounds", "eigenvalues",
-    "emit", "empirical_law", "errors", "expectation_bound_exp_decay",
+    "emit", "errors", "expectation_bound_exp_decay",
     "expectation_bound_finite", "expectation_bound_poly_decay", "feature_coords",
     "fit_loglog_slope", "gaussian_law", "harness", "load_rate_curve", "maxsliced", "measures",
     "moment_bound", "moment_empirical", "msw_empirical", "msw_grid_oracle", "msw_vs_analytic",
