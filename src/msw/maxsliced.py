@@ -80,7 +80,9 @@ class MswResult:
 
 def _normalize_rows(th: np.ndarray) -> np.ndarray:
     """The rows of th scaled to unit norm; a zero row stays zero."""
-    return th / np.maximum(np.linalg.norm(th, axis=1, keepdims=True), 1e-300)
+    # np.linalg.norm's own arithmetic for the 2-norm along an axis, so the
+    # bits are the same, without its per-call checks
+    return th / np.maximum(np.sqrt(np.add.reduce(th * th, axis=1, keepdims=True)), 1e-300)
 
 
 def grid_directions(d: int, resolution: int) -> np.ndarray:
@@ -99,8 +101,13 @@ def grid_directions(d: int, resolution: int) -> np.ndarray:
     raise UnsupportedDimensionError(f"direction grids exist for d in {{2, 3}}, got d={d}")
 
 
-def _argsort_columns(proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column ascending order of proj and the sorted values.
+def _argsort_columns(proj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-column ascending order of proj, the sorted values and the flat index.
+
+    flat = order * R + arange(R) indexes proj's (n, R) entries in C order, so
+    proj.ravel()[flat] gathers the sorted values and a.ravel()[flat] = b, for a
+    C-ordered a, scatters sorted rows back to their points: the two-sample and
+    analytic objectives' take_along_axis and put_along_axis in fewer calls.
 
     Tied values take numpy's default sort order. Any order of tied points is
     an optimal coupling, so it leaves the sorted values, and every value
@@ -109,7 +116,8 @@ def _argsort_columns(proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values only, not on the other directions in the batch.
     """
     order = np.argsort(proj, axis=0)
-    return order, proj[order, np.arange(proj.shape[1])]
+    flat = order * proj.shape[1] + np.arange(proj.shape[1])
+    return order, proj.ravel()[flat], flat
 
 
 class _TwoSampleObjective:
@@ -132,23 +140,24 @@ class _TwoSampleObjective:
         sx = np.sort(self.x @ th.T, axis=0)
         sy = np.sort(self.y @ th.T, axis=0)
         if self.equal:
-            return np.mean(np.abs(sx - sy) ** self.p, axis=0)
+            return np.add.reduce(np.abs(sx - sy) ** self.p, axis=0) / sx.shape[0]
         return np.sum(self.w * np.abs(sx[self.xi] - sy[self.yj]) ** self.p, axis=0)
 
     def value_and_grad(self, th: np.ndarray):
-        ox, sx = _argsort_columns(self.x @ th.T)
-        oy, sy = _argsort_columns(self.y @ th.T)
+        _, sx, fx = _argsort_columns(self.x @ th.T)
+        _, sy, fy = _argsort_columns(self.y @ th.T)
         p = self.p
         if self.equal:
             n = self.x.shape[0]
             delta = sx - sy
             absd = np.abs(delta)
-            vals = np.mean(absd**p, axis=0)
+            # np.mean's own sum-then-divide
+            vals = np.add.reduce(absd**p, axis=0) / n
             coef = (p / n) * np.sign(delta) * absd ** (p - 1.0)
-            ax = np.empty_like(coef)
-            ay = np.empty_like(coef)
-            np.put_along_axis(ax, ox, coef, axis=0)
-            np.put_along_axis(ay, oy, coef, axis=0)
+            ax = np.empty(coef.shape)
+            ay = np.empty(coef.shape)
+            ax.ravel()[fx] = coef
+            ay.ravel()[fy] = coef
         else:
             delta = sx[self.xi] - sy[self.yj]
             absd = np.abs(delta)
@@ -157,9 +166,8 @@ class _TwoSampleObjective:
             # bincount adds in input order from zero, so each point's sum of
             # block coefficients has the same bits as a sequential scatter
             r = th.shape[0]
-            cols = np.arange(r)
-            ax = np.bincount((ox[self.xi] * r + cols).ravel(), coef, self.x.shape[0] * r)
-            ay = np.bincount((oy[self.yj] * r + cols).ravel(), coef, self.y.shape[0] * r)
+            ax = np.bincount(fx[self.xi].ravel(), coef, self.x.shape[0] * r)
+            ay = np.bincount(fy[self.yj].ravel(), coef, self.y.shape[0] * r)
             ax, ay = ax.reshape(-1, r), ay.reshape(-1, r)
         grads = ax.T @ self.x - ay.T @ self.y
         return vals, grads
@@ -226,7 +234,7 @@ class _AnalyticObjective:
         return np.einsum("nk,nkr->r", self.wq, np.abs(delta) ** self.p)
 
     def value_and_grad(self, th: np.ndarray):
-        ox, sx = _argsort_columns(self.x @ th.T)
+        _, sx, fx = _argsort_columns(self.x @ th.T)
         if self.p == 2.0:
             vals, c, b, sig_th, s = self._closed_form(sx, th)
             per_point = (2.0 / sx.shape[0]) * c - 2.0 * s * self.g[:, None]
@@ -240,8 +248,8 @@ class _AnalyticObjective:
             per_point = coef.sum(axis=1)       # (n, R)
             total = per_point.sum(axis=0)      # (R,)
             s_coef = -np.einsum("nkr,nk->r", coef, self.z)
-        ax = np.empty_like(per_point)
-        np.put_along_axis(ax, ox, per_point, axis=0)
+        ax = np.empty(per_point.shape)
+        ax.ravel()[fx] = per_point
         grads = (
             ax.T @ self.x
             - total[:, None] * self.mean[None, :]
@@ -316,17 +324,20 @@ def _ascend(objective, starts: np.ndarray, opts: OptimizerOpts):
     step = np.full(th.shape[0], _STEP0)
     stalled = np.zeros(th.shape[0], dtype=int)
     iters = 0
-    while iters < opts.max_iters and np.any(stalled < _PATIENCE):
+    live = np.arange(th.shape[0])
+    while iters < opts.max_iters and live.size:
         iters += 1
-        live = np.flatnonzero(stalled < _PATIENCE)
-        trial = _normalize_rows(th[live] + step[live, None] * u[live])
+        old, here = vals[live], th[live]
+        trial = _normalize_rows(here + step[live, None] * u[live])
         new_vals, new_grads = objective.value_and_grad(trial)
-        rise = new_vals > vals[live]
-        gain = new_vals - vals[live] > _TOL * vals[live]
-        th[live[rise]], vals[live[rise]] = trial[rise], new_vals[rise]
-        u[live] = _tangent(u[live] + _tangent(new_grads, th[live]), th[live])
+        rise = new_vals > old
+        gain = new_vals - old > _TOL * old
+        kept = np.where(rise[:, None], trial, here)
+        th[live], vals[live] = kept, np.where(rise, new_vals, old)
+        u[live] = _tangent(u[live] + _tangent(new_grads, kept), kept)
         step[live] *= np.where(rise, _GROW, 0.5)
         stalled[live] = np.where(gain, 0, stalled[live] + 1)
+        live = np.flatnonzero(stalled < _PATIENCE)
     return vals, th, iters, stalled >= _PATIENCE
 
 

@@ -192,16 +192,21 @@ def w1d_empirical(xs, ys, p: float) -> float:
 
     Computed exactly as the L^p norm of the quantile difference over the
     merged breakpoint grid. For equal sample sizes this reduces to the sorted
-    matching ((1/n) sum |x_(i) - y_(i)|^p)^(1/p); sizes may differ.
+    matching ((1/n) sum |x_(i) - y_(i)|^p)^(1/p); sizes may differ. A
+    distance that overflows is a NumericError.
     """
     if not p >= 1.0:
         raise DomainError(f"order p must be >= 1, got {p}")
     x = as_sorted_sample(xs)
     y = as_sorted_sample(ys)
     if x.size == y.size:
-        return float(np.mean(np.abs(x - y) ** p) ** (1.0 / p))
-    w, xi, yj = quantile_blocks(x.size, y.size)
-    return float(np.sum(w * np.abs(x[xi] - y[yj]) ** p) ** (1.0 / p))
+        value = float(np.mean(np.abs(x - y) ** p) ** (1.0 / p))
+    else:
+        w, xi, yj = quantile_blocks(x.size, y.size)
+        value = float(np.sum(w * np.abs(x[xi] - y[yj]) ** p) ** (1.0 / p))
+    if not math.isfinite(value):
+        raise NumericError(f"the order-{p!r} distance between the samples is not finite (overflow)")
+    return value
 
 
 @lru_cache(maxsize=64)

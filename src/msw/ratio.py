@@ -100,7 +100,7 @@ class _RatioObjective:
         return self._pieces(np.sort(self.x @ th.T, axis=0), th)[-1][0]
 
     def value_and_grad(self, th: np.ndarray):
-        order, sx = _argsort_columns(self.x @ th.T)
+        order, sx, _ = _argsort_columns(self.x @ th.T)
         sig_th, sd, z, f, (vals, row, left) = self._pieces(sx, th)
         cols = np.arange(th.shape[0])
         zi, fi, a = z[row, cols], f[row, cols], self.fn[row + 1 - left, 0]

@@ -293,6 +293,23 @@ def test_projection_overflow_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("xs,ys", [
+    # d = 1 takes the exact sorted matching and never projects
+    ([[1e308], [0.0], [0.0]], [[-1e308], [0.0], [0.0]]),
+    # the projections are finite, |x - y|^2 is not
+    ([[1e200, 0.0], [1e200, 1.0], [1e200, 2.0]], [[-1e200, 0.0], [-1e200, 1.0], [-1e200, 2.0]]),
+], ids=["d1", "d2"])
+def test_a_non_finite_distance_exits_3(tmp_path, capsys, xs, ys):
+    x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+    write_samples(x_path, np.array(xs))
+    write_samples(y_path, np.array(ys))
+    out = tmp_path / "compute.json"
+    with np.errstate(all="ignore"):
+        assert main(["compute", str(x_path), str(y_path), "--out", str(out)]) == 3
+    assert "distance between the samples is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_non_finite_statistic_exits_3(tmp_path, capsys):
     cfg = tmp_path / "huge_p.cfg"
     cfg.write_text(

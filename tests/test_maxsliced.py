@@ -24,11 +24,17 @@ from msw import (
 )
 from msw.maxsliced import (
     _GRID_BLOCK,
+    _GROW,
+    _PATIENCE,
     _SEED_GRID,
+    _STEP0,
+    _TOL,
     _AnalyticObjective,
+    _ascend,
     _collect_starts,
     _normalize_rows,
     _run_search,
+    _tangent,
     _TwoSampleObjective,
     _value_on_grid,
     grid_directions,
@@ -271,6 +277,20 @@ def _reference_analytic_value_and_grad(obj, th):
     px = obj.x @ th.T
     ox = np.argsort(px, axis=0)
     sx = np.take_along_axis(px, ox, 0)
+    if obj.p == 2.0:
+        # the closed form: W_2^2 = mean(c^2) - 2 s <g, c> + s^2 with c = sx - m
+        c = sx - mth
+        b = obj.g @ c
+        vals = np.maximum(np.mean(c * c, axis=0) - 2.0 * s * b + s * s, 0.0)
+        per_point = (2.0 / sx.shape[0]) * c - 2.0 * s * obj.g[:, None]
+        ax = np.empty_like(per_point)
+        np.put_along_axis(ax, ox, per_point, axis=0)
+        grads = (
+            ax.T @ obj.x
+            - per_point.sum(axis=0)[:, None] * obj.mean[None, :]
+            + (2.0 * (s - b) / np.maximum(s, 1e-150))[:, None] * sig_th
+        )
+        return vals, grads
     delta = sx[:, None, :] - mth[None, None, :] - s[None, None, :] * obj.z[:, :, None]
     absd = np.abs(delta)
     vals = np.einsum("nk,nkr->r", obj.wq, absd**obj.p)
@@ -305,31 +325,117 @@ def test_two_sample_objective_matches_the_argsort_reference(n, m, d, decimals):
     x, y = rng.normal(size=(n, d)), rng.normal(size=(m, d)) + 0.5
     if decimals is not None:
         x, y = np.round(x, decimals), np.round(y, decimals)
-    th = _directions(rng, 13, d)
-    obj = _TwoSampleObjective(x, y, 2.0)
-    vals, grads = obj.value_and_grad(th)
-    want_vals, want_grads = _reference_two_sample_value_and_grad(obj, th)
-    assert np.array_equal(vals, want_vals)
-    assert np.array_equal(grads, want_grads)
-    assert np.array_equal(obj.value(th), want_vals)
+    # R = 1 is the batch of the ascent's last live start
+    for th in (_directions(rng, 13, d), _directions(rng, 1, d)):
+        for p in (1.0, 2.0, 3.0):
+            obj = _TwoSampleObjective(x, y, p)
+            vals, grads = obj.value_and_grad(th)
+            want_vals, want_grads = _reference_two_sample_value_and_grad(obj, th)
+            assert np.array_equal(vals, want_vals), (th.shape, p)
+            assert np.array_equal(grads, want_grads), (th.shape, p)
+            assert np.array_equal(obj.value(th), want_vals), (th.shape, p)
 
 
 @pytest.mark.parametrize("n,d,decimals", [(200, 3, None), (1600, 8, None), (300, 2, 1)])
 def test_analytic_objective_matches_the_argsort_reference(n, d, decimals):
-    # the quadrature path, which serves p != 2
+    # the closed form at p = 2 and the quadrature path at p != 2
     rng = np.random.default_rng(n + d)
     x = rng.normal(size=(n, d))
     if decimals is not None:
         x = np.round(x, decimals)
     spec = Gaussian(np.full(d, 0.2), np.diag(np.linspace(0.5, 2.0, d)))
-    th = _directions(rng, 13, d)
-    for p in (1.0, 3.0):
-        obj = _AnalyticObjective(x, spec, p)
-        vals, grads = obj.value_and_grad(th)
-        want_vals, want_grads = _reference_analytic_value_and_grad(obj, th)
-        assert np.array_equal(vals, want_vals)
-        assert np.array_equal(grads, want_grads)
-        assert np.array_equal(obj.value(th), want_vals)
+    for th in (_directions(rng, 13, d), _directions(rng, 1, d)):
+        for p in (1.0, 2.0, 3.0):
+            obj = _AnalyticObjective(x, spec, p)
+            vals, grads = obj.value_and_grad(th)
+            want_vals, want_grads = _reference_analytic_value_and_grad(obj, th)
+            assert np.array_equal(vals, want_vals), (th.shape, p)
+            assert np.array_equal(grads, want_grads), (th.shape, p)
+            assert np.array_equal(obj.value(th), want_vals), (th.shape, p)
+
+
+def _reference_normalize_rows(th):
+    return th / np.maximum(np.linalg.norm(th, axis=1, keepdims=True), 1e-300)
+
+
+def _reference_tangent(v, th):
+    return _reference_normalize_rows(v - np.einsum("rd,rd->r", v, th)[:, None] * th)
+
+
+@pytest.mark.parametrize("r,d", [(1, 1), (1, 8), (7, 2), (7, 30), (13, 300)])
+def test_row_helpers_match_the_linalg_norm_forms(r, d):
+    rng = np.random.default_rng(10 * r + d)
+    for scale in (1.0, 1e-160, 1e150):
+        v = scale * rng.normal(size=(r, d))
+        th = _reference_normalize_rows(rng.normal(size=(r, d)))
+        with_zero = v.copy()
+        with_zero[-1] = 0.0
+        for w in (v, with_zero):
+            assert np.array_equal(_normalize_rows(w), _reference_normalize_rows(w))
+            assert np.array_equal(_tangent(w, th), _reference_tangent(w, th))
+        assert not np.any(_normalize_rows(with_zero)[-1])
+
+
+def _reference_ascend(objective, starts, opts):
+    """The lockstep ascent as written with per-iteration masks and np.linalg.norm."""
+    th = starts.copy()
+    vals, grads = objective.value_and_grad(th)
+    u = _reference_tangent(grads, th)
+    step = np.full(th.shape[0], _STEP0)
+    stalled = np.zeros(th.shape[0], dtype=int)
+    iters = 0
+    while iters < opts.max_iters and np.any(stalled < _PATIENCE):
+        iters += 1
+        live = np.flatnonzero(stalled < _PATIENCE)
+        trial = _reference_normalize_rows(th[live] + step[live, None] * u[live])
+        new_vals, new_grads = objective.value_and_grad(trial)
+        rise = new_vals > vals[live]
+        gain = new_vals - vals[live] > _TOL * vals[live]
+        th[live[rise]], vals[live[rise]] = trial[rise], new_vals[rise]
+        u[live] = _reference_tangent(u[live] + _reference_tangent(new_grads, th[live]), th[live])
+        step[live] *= np.where(rise, _GROW, 0.5)
+        stalled[live] = np.where(gain, 0, stalled[live] + 1)
+    return vals, th, iters, stalled >= _PATIENCE
+
+
+class _CountingObjective:
+    """An objective that records the batch size of each value_and_grad call."""
+
+    def __init__(self, objective):
+        self.objective, self.batches = objective, []
+
+    def value(self, th):
+        return self.objective.value(th)
+
+    def value_and_grad(self, th):
+        self.batches.append(th.shape[0])
+        return self.objective.value_and_grad(th)
+
+
+def _ascend_cases():
+    x, y = _shifted_pair(21, 200, 5)
+    spec = Gaussian(np.full(5, 0.1), np.diag(np.linspace(0.5, 2.0, 5)))
+    yield "two-sample", _TwoSampleObjective(x, y, 2.0), np.vstack([x, y]), x.mean(0) - y.mean(0)
+    yield "two-sample p=1 unequal n", _TwoSampleObjective(x, y[:130], 1.0), x, x.mean(0)
+    yield "analytic p=2", _AnalyticObjective(x, spec, 2.0), x, x.mean(0) - spec.mean
+    yield "analytic p=3", _AnalyticObjective(x, spec, 3.0), x, x.mean(0) - spec.mean
+    yield "ratio", _RatioObjective(x[:, :2], Gaussian(np.zeros(2), np.eye(2))), x[:, :2], x.mean(0)[:2]
+
+
+@pytest.mark.parametrize("max_iters", [200, 25])
+def test_ascend_matches_the_masked_reference_loop(max_iters):
+    opts = OptimizerOpts(restarts=6, max_iters=max_iters)
+    for name, objective, pooled, mean_diff in _ascend_cases():
+        counted = _CountingObjective(objective)
+        starts = _collect_starts(objective, pooled, mean_diff, None, opts, RngStream(5))
+        vals, th, iters, stalled = _ascend(counted, starts, opts)
+        want_vals, want_th, want_iters, want_stalled = _reference_ascend(objective, starts, opts)
+        assert np.array_equal(vals, want_vals), name
+        assert np.array_equal(th, want_th), name
+        assert iters == want_iters and np.array_equal(stalled, want_stalled), name
+        if max_iters == 200:
+            # the starts stall at different iterations, so the batch shrinks in steps
+            assert len(set(counted.batches)) >= 3, (name, counted.batches)
 
 
 @pytest.mark.parametrize("n,m", [(300, 300), (300, 170)])
