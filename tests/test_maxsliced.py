@@ -404,9 +404,6 @@ class _CountingObjective:
     def __init__(self, objective):
         self.objective, self.batches = objective, []
 
-    def value(self, th):
-        return self.objective.value(th)
-
     def value_and_grad(self, th):
         self.batches.append(th.shape[0])
         return self.objective.value_and_grad(th)
