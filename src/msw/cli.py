@@ -22,16 +22,15 @@ CONFIG_KINDS = {
     "d": "integer", "d_test": "integer", "mc_runs": "integer", "master_seed": "integer",
     "restarts": "integer", "max_iters": "integer", "n_grid": "integers", "d_test_list": "integers",
     "p": "number", "shape": "number", "sigma2": "number", "w": "number", "eta2": "number",
-    "overlay_s": "number", "overlay_gamma": "number", "overlay_c": "number", "overlay_C": "number",
+    "overlay_s": "number", "overlay_gamma": "number", "overlay_C": "number",
     "mean": "numbers", "eps_grid": "numbers",
 }
 # keys that only some experiments, or only some distributions, read; a config
 # whose experiment and distribution are both missing from a key's readers is
-# rejected (no key is limited by both)
-_RATE = ("rate_vs_truth", "rate_two_sample", "rkhs_rate")
-_READ_BY = {"p": _RATE, "d_test_list": ("rkhs_rate",), "eps_grid": ("ratio_exceedance",),
-            **{key: _RATE for key in CONFIG_KINDS if key.startswith("overlay_")},
-            "mean": ("gaussian",), "covariance": ("gaussian",), "shape": ("pareto_product",),
+# rejected (no key is limited by both). ExperimentConfig itself rejects an
+# overlay or a d_test_list that its experiment does not read.
+_READ_BY = {"p": ("rate_vs_truth", "rate_two_sample", "rkhs_rate"),
+            "eps_grid": ("ratio_exceedance",), "mean": ("gaussian",), "covariance": ("gaussian",), "shape": ("pareto_product",),
             "d": ("gaussian", "pareto_product"),
             **{key: ("rkhs_pushforward",) for key in ("sigma2", "w", "eta2", "d_test")}}
 # kind -> (its name in errors, the types it accepts, the cast applied)
@@ -147,28 +146,20 @@ def _build_spec(m: dict):
         return ParetoProduct(m["shape"], m.get("d", 2))
     if dist == "rkhs_pushforward":
         _require(m, dist, "sigma2", "w", "eta2")
-        if "d_test" not in m and "d_test_list" not in m:
-            raise ConfigError("rkhs_pushforward requires 'd_test' or 'd_test_list'")
+        if ("d_test" in m) == ("d_test_list" in m):
+            raise ConfigError("rkhs_pushforward takes exactly one of 'd_test' and 'd_test_list'")
         d_test = m["d_test"] if "d_test" in m else _as_list(m["d_test_list"])[0]
         return RkhsPushforward(KernelSpec(m["sigma2"], m["w"]), m["eta2"], d_test)
     raise ConfigError(f"unknown distribution {dist!r}")
 
 
-def _build_overlay(m: dict, p: float, spec) -> Overlay | None:
-    from .bounds import BoundParams
+def _build_overlay(m: dict) -> Overlay | None:
     from .harness import Overlay
 
     if "overlay_kind" not in m:
         return None
-    params = BoundParams(
-        p=p,
-        s=m.get("overlay_s", 2 * p + 1),
-        d=getattr(spec, "dim", None),
-        gamma=m.get("overlay_gamma"),
-        c_user=m.get("overlay_c", 1.0),
-        C_user=m.get("overlay_C", 1.0),
-    )
-    return Overlay(kind=m["overlay_kind"], params=params)
+    names = {"overlay_s": "s", "overlay_gamma": "gamma", "overlay_C": "C_user"}
+    return Overlay(m["overlay_kind"], **{names[k]: m[k] for k in names if k in m})
 
 
 def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, ...]]:
@@ -176,9 +167,11 @@ def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, .
 
     Every key is looked up in CONFIG_KINDS and every value typed before
     anything is built, and a key that the experiment never reads is rejected,
-    so a malformed config fails before the first trial.
+    so a malformed config fails before the first trial. Only the keys the
+    mapping sets are passed on: ExperimentConfig and OptimizerOpts hold the
+    defaults.
     """
-    from .harness import DEFAULT_N_GRID, ExperimentConfig
+    from .harness import ExperimentConfig
     from .maxsliced import OptimizerOpts
 
     unknown = sorted(mapping.keys() - CONFIG_KINDS.keys())
@@ -187,22 +180,18 @@ def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, .
     m = {key: _typed(key, value, CONFIG_KINDS[key]) for key, value in mapping.items()}
     if "experiment" not in m:
         raise ConfigError("config must set 'experiment'")
-    spec = _build_spec(m)
-    p = m.get("p", 2.0)
-    optimizer = {k: m[k] for k in ("restarts", "max_iters") if k in m}
+    fields = {k: m[k] for k in ("p", "mc_runs", "master_seed") if k in m}
+    fields.update({k: tuple(_as_list(m[k])) for k in ("n_grid", "d_test_list") if k in m})
     config = ExperimentConfig(
         experiment=m["experiment"],
-        spec=spec,
-        p=p,
-        n_grid=tuple(_as_list(m.get("n_grid", DEFAULT_N_GRID))),
-        mc_runs=m.get("mc_runs", 100),
-        master_seed=m.get("master_seed", 0),
-        optimizer=OptimizerOpts(**optimizer),
-        d_test_list=tuple(_as_list(m["d_test_list"])) if "d_test_list" in m else None,
-        overlay=_build_overlay(m, p, spec),
+        spec=_build_spec(m),
+        optimizer=OptimizerOpts(**{k: m[k] for k in ("restarts", "max_iters") if k in m}),
+        overlay=_build_overlay(m),
+        **fields,
     )
     exp, dist = config.experiment, m.get("distribution", "gaussian")
-    unread = sorted(k for k in m if not {exp, dist} & set(_READ_BY.get(k, (exp,))))
+    unread = sorted(k for k in m if not {exp, dist} & set(_READ_BY.get(k, (exp,)))
+                    or k.startswith("overlay_") and "overlay_kind" not in m)
     if unread:
         raise ConfigError(
             f"experiment {exp!r} with distribution {dist!r} does not read {', '.join(unread)}"

@@ -14,7 +14,7 @@ import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import KW_ONLY, asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,27 +52,18 @@ _OVERLAY_FORMULAS = {
 class Overlay:
     """An expectation-bound curve to emit next to the empirical means.
 
-    evaluate(n) is the formula's bound on E[W̄_p^p]. The means estimate
-    E[W̄_p], so the emitted column is its p-th root, which bounds E[W̄_p] by
-    Jensen's inequality. The kind and the inputs its formula needs are checked
-    on construction.
+    The formula's order p and dimension d are the experiment's, and s defaults
+    to 2p + 1: ExperimentConfig builds the formula's BoundParams from them and
+    checks the kind and the inputs the formula needs. The formula bounds
+    E[W̄_p^p]. The means estimate E[W̄_p], so the emitted column is its p-th
+    root, which bounds E[W̄_p] by Jensen's inequality.
     """
 
     kind: str
-    params: BoundParams
-
-    def __post_init__(self):
-        if self.kind not in _OVERLAY_FORMULAS:
-            raise ConfigError(
-                f"unknown overlay kind {self.kind!r}; expected one of {tuple(_OVERLAY_FORMULAS)}"
-            )
-        try:
-            self.evaluate(1)
-        except DomainError as exc:
-            raise ConfigError(f"overlay {self.kind!r}: {exc}") from exc
-
-    def evaluate(self, n: int) -> float:
-        return _OVERLAY_FORMULAS[self.kind](self.params, n)
+    _: KW_ONLY
+    s: float | None = None
+    gamma: float | None = None
+    C_user: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -109,9 +100,30 @@ class ExperimentConfig:
                 object.__setattr__(self, "d_test_list", (self.spec.d_test,))
             else:
                 lst = tuple(int(d) for d in self.d_test_list)
-                if any(d < 1 for d in lst):
-                    raise ConfigError(f"d_test_list entries must be >= 1, got {lst}")
+                if not lst or any(d < 1 for d in lst) or len(set(lst)) < len(lst):
+                    raise ConfigError(f"d_test_list must be distinct levels >= 1, got {lst}")
                 object.__setattr__(self, "d_test_list", lst)
+        elif self.d_test_list is not None:
+            raise ConfigError(f"experiment {self.experiment!r} reads no d_test_list")
+        if self.overlay is not None:
+            kind = self.overlay.kind
+            if self.experiment == "ratio_exceedance":
+                raise ConfigError("experiment 'ratio_exceedance' emits no overlay")
+            if kind not in _OVERLAY_FORMULAS:
+                raise ConfigError(
+                    f"unknown overlay kind {kind!r}; expected one of {tuple(_OVERLAY_FORMULAS)}"
+                )
+            if kind == "finite" and self.overlay.gamma is not None:
+                raise ConfigError("overlay 'finite' reads no gamma")
+            try:
+                _OVERLAY_FORMULAS[kind](self._bound_params(), 1)
+            except DomainError as exc:
+                raise ConfigError(f"overlay {kind!r}: {exc}") from exc
+
+    def _bound_params(self) -> BoundParams:
+        """The overlay formula's inputs, at the experiment's p and dimension."""
+        s = 2 * self.p + 1 if self.overlay.s is None else self.overlay.s
+        return BoundParams(self.p, s, self.spec.dim, self.overlay.gamma, C_user=self.overlay.C_user)
 
 
 class _Table:
@@ -195,7 +207,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     if config.d_test_list is not None:
         out["d_test_list"] = list(config.d_test_list)
     if config.overlay is not None:
-        out["overlay"] = {"kind": config.overlay.kind, **asdict(config.overlay.params)}
+        out["overlay"] = {"kind": config.overlay.kind, **asdict(config._bound_params())}
     return out
 
 
@@ -322,7 +334,8 @@ def _aggregate(config: ExperimentConfig, vals: np.ndarray, walls: np.ndarray, wo
         stderrs = np.zeros(n_count)
     bound = None
     if config.overlay is not None:
-        bound = np.array([config.overlay.evaluate(n) ** (1.0 / config.p) for n in config.n_grid])
+        formula, params = _OVERLAY_FORMULAS[config.overlay.kind], config._bound_params()
+        bound = np.array([formula(params, n) ** (1.0 / config.p) for n in config.n_grid])
     return RateCurve(
         n=np.array(config.n_grid, dtype=np.int64),
         mean=vals.mean(axis=1),

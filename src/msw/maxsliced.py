@@ -279,7 +279,7 @@ def _value_on_grid(objective, dirs: np.ndarray) -> np.ndarray:
 
 def _collect_starts(objective, pooled: np.ndarray, mean_diff: np.ndarray,
                     extra_axes: np.ndarray | None, opts: OptimizerOpts, rng: RngStream):
-    """Random restarts plus seed directions, as unit rows."""
+    """Random restarts plus seed directions, as unit rows; non-finite seeds are dropped."""
     d = pooled.shape[1]
     rows = [
         rng.child(r).generator().standard_normal(d) for r in range(opts.restarts)
@@ -295,7 +295,9 @@ def _collect_starts(objective, pooled: np.ndarray, mean_diff: np.ndarray,
     if d in _SEED_GRID:
         dirs = grid_directions(d, _SEED_GRID[d])
         rows.append(dirs[int(np.argmax(_value_on_grid(objective, dirs)))])
-    return _normalize_rows(np.asarray(rows))
+    # an overflowed scatter matrix gives NaN axes, and argmax would prefer a NaN value
+    rows = np.asarray(rows)
+    return _normalize_rows(rows[np.isfinite(rows).all(axis=1)])
 
 
 def _tangent(v: np.ndarray, th: np.ndarray) -> np.ndarray:

@@ -254,7 +254,9 @@ def w1d_vs_cdf(xs, law: AnalyticCdf1d, p: float, nodes_per_block: int = 32) -> f
     if nodes_per_block < 1:
         raise DomainError(f"nodes_per_block must be >= 1, got {nodes_per_block}")
     x = as_sorted_sample(xs)
-    w, z = _normal_quantile_blocks(x.size, nodes_per_block)
+    # the cache keeps only the orders the library asks for, so a large one dies with the call
+    blocks = _normal_quantile_blocks if nodes_per_block == 32 else _normal_quantile_blocks.__wrapped__
+    w, z = blocks(x.size, nodes_per_block)
     q = law.mean + law.sd * z
     if not np.all(np.isfinite(q)):
         raise NumericError(f"quantiles of N({law.mean!r}, {law.sd!r}^2) are not finite")

@@ -165,33 +165,26 @@ class SpectrumReport:
     eigen_residuals: np.ndarray  # sup_z' |T_K psi_j(z') - lambda_j psi_j(z')| per j
 
 
-# quadrature defaults: orthonormality needs >= (j+k)/2 + 1 nodes for exactness,
-# the eigen-relation integrand is entire so a fixed high order suffices
+# the eigen-relation integrand is entire, so a fixed high quadrature order suffices
 _RESIDUAL_QUAD_NODES = 128
 _ZPRIME_GRID_POINTS = 25
 
 
-def check_spectrum(kernel: KernelSpec, j_max: int, quad_nodes: int | None = None) -> SpectrumReport:
+def check_spectrum(kernel: KernelSpec, j_max: int) -> SpectrumReport:
     """Verify the first j_max eigenpairs by Gauss-Hermite quadrature.
 
     The Gram matrix G_{jk} = int psi_j psi_k dm is computed after the
     substitution t = sqrt(2c) z, which turns the integrand into a polynomial
-    times exp(-t^2); quadrature with quad_nodes >= j_max + 1 nodes is then
-    exact up to rounding. Residuals |int K(z, z') psi_j(z) m(dz) -
-    lambda_j psi_j(z')| are evaluated on a z' grid spanning +-3 sigma.
+    of degree at most 2 j_max - 2 times exp(-t^2); max(64, j_max + 8) nodes
+    integrate it exactly up to rounding. Residuals |int K(z, z') psi_j(z) m(dz)
+    - lambda_j psi_j(z')| are evaluated on a z' grid spanning +-3 sigma.
     """
     if j_max < 1:
         raise DomainError(f"j_max must be >= 1, got {j_max}")
-    if quad_nodes is None:
-        quad_nodes = max(64, j_max + 8)
-    if quad_nodes < j_max + 1:
-        raise DomainError(
-            f"quad_nodes={quad_nodes} too small for j_max={j_max}; need >= {j_max + 1}"
-        )
 
     from numpy.polynomial.hermite import hermgauss
     # orthonormality: G = S S^T with S_ji = h_j(t_i) sqrt(w_i e^{t_i^2}), symmetrized
-    t, wq = hermgauss(quad_nodes)
+    t, wq = hermgauss(max(64, j_max + 8))
     h = _hermite_functions(t, j_max - 1)
     scaled = h * np.sqrt(wq * np.exp(t**2))[None, :]
     gram = scaled @ scaled.T

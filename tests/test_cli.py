@@ -8,7 +8,7 @@ import pytest
 
 from msw.cli import CONFIG_KINDS, config_from_mapping, load_sample_file, main, parse_config_file
 from msw.errors import ConfigError
-from msw.harness import load_rate_curve
+from msw.harness import config_to_dict, load_rate_curve
 from msw.measures import Gaussian, ParetoProduct, RkhsPushforward
 
 
@@ -342,7 +342,96 @@ def test_overlay_errors_raise_while_building_the_config():
     with pytest.raises(ConfigError, match="decay exponent gamma"):
         config_from_mapping({**base, "overlay_kind": "exp_decay"})
     config, _ = config_from_mapping({**base, "overlay_kind": "exp_decay", "overlay_gamma": 2})
-    assert config.overlay.params.gamma == 2.0
+    assert config.overlay.gamma == 2.0
+
+
+_RATE_CFG = ("experiment = rate_two_sample\nd = 2\nn_grid = 8, 16\nmc_runs = 1\n"
+             "restarts = 1\nmax_iters = 5\n")
+_RKHS_CFG = ("experiment = rkhs_rate\ndistribution = rkhs_pushforward\nsigma2 = 4\nw = 1\n"
+             "eta2 = 1\nn_grid = 8, 16\nmc_runs = 1\nrestarts = 1\nmax_iters = 5\n")
+
+
+@pytest.mark.parametrize("text", [
+    _RATE_CFG + "overlay_kind = finite\noverlay_c = 2\n",
+    _RATE_CFG + "overlay_s = 7\n",
+    _RATE_CFG + "overlay_gamma = 2\n",
+    _RATE_CFG + "overlay_C = 2\n",
+    _RATE_CFG + "overlay_kind = finite\noverlay_gamma = 2\n",
+    _RKHS_CFG + "d_test = 10\nd_test_list = 10, 20\n",
+    _RKHS_CFG + "d_test_list = 10, 10\n",
+], ids=["overlay_c", "overlay_s_alone", "overlay_gamma_alone", "overlay_C_alone",
+        "finite_with_gamma", "d_test_and_d_test_list", "repeated_level"])
+def test_a_value_that_nothing_reads_exits_2(tmp_path, capsys, text):
+    cfg, out = tmp_path / "unread.cfg", tmp_path / "unread.csv"
+    cfg.write_text(text)
+    assert main(["rate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("unread*.csv")) and not list(tmp_path.glob("*.meta.json"))
+
+
+def test_an_overlay_takes_p_and_d_from_its_experiment():
+    base = {"experiment": "rate_vs_truth", "d": 3, "p": 1.5, "overlay_kind": "finite"}
+    fixed = {"kind": "finite", "p": 1.5, "d": 3, "gamma": None, "c_user": 1.0}
+    config, _ = config_from_mapping(base)
+    assert config_to_dict(config)["overlay"] == {**fixed, "s": 4.0, "C_user": 1.0}
+    config, _ = config_from_mapping({**base, "overlay_s": 9, "overlay_C": 2})
+    assert config_to_dict(config)["overlay"] == {**fixed, "s": 9.0, "C_user": 2.0}
+    with pytest.raises(ConfigError, match="moment order s must exceed 2p"):
+        config_from_mapping({**base, "overlay_s": 3})
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rate_writes_one_curve_per_truncation_level(tmp_path, fmt):
+    cfg, out = tmp_path / "rkhs.cfg", tmp_path / f"curve.{fmt}"
+    cfg.write_text(_RKHS_CFG + "d_test_list = 3, 5\n")
+    assert main(["rate", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+    assert sorted(f.name for f in tmp_path.iterdir() if f != cfg) == [
+        f"curve_dtest3.{fmt}", "curve_dtest3.meta.json", f"curve_dtest5.{fmt}", "curve_dtest5.meta.json",
+    ]
+    for d_test in (3, 5):
+        curve = load_rate_curve(tmp_path / f"curve_dtest{d_test}.{fmt}", fmt)
+        assert curve.n.tolist() == [8, 16] and np.all(curve.mean > 0.0)
+        assert curve.meta["config"]["d_test_list"] == [3, 5]
+    if fmt == "json":
+        rows = json.loads((tmp_path / "curve_dtest3.json").read_text())
+        assert [sorted(row) for row in rows] == [["mean", "n", "runs", "stderr", "wall_s"]] * 2
+
+
+def test_rkhs_spectrum_json_and_stdout(tmp_path, capsys):
+    args = ["rkhs-spectrum", "--sigma2", "0.25", "--w", str(0.125**0.5), "--j-max", "4"]
+    out = tmp_path / "spectrum.json"
+    assert main([*args, "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert [row["j"] for row in rows] == [0, 1, 2, 3]
+    assert rows[0]["lambda"] == pytest.approx(0.5, rel=1e-12)
+    report = json.loads((tmp_path / "spectrum.report.json").read_text())
+    assert report["kappa"] == pytest.approx(4.0) and "orthonormality_error" not in report
+    # without --out the table and then the report go to stdout, and no file is written
+    assert main(args) == 0
+    text = capsys.readouterr().out
+    table, summary = text.split("\n{", 1)
+    assert table.splitlines()[0] == "j,lambda" and len(table.splitlines()) == 5
+    assert json.loads("{" + summary) == report
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["spectrum.json", "spectrum.report.json"]
+
+
+@pytest.mark.parametrize("p", ["1", "2"])
+def test_a_nan_seed_direction_does_not_win(tmp_path, capsys, p):
+    # the PCA seeds of these rows come from an overflowed scatter matrix and are NaN
+    x_path, y_path, out = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "compute.json"
+    write_samples(x_path, np.array([[1e200, 1e200], [-1e200, 5e199], [3e199, -1e200]]))
+    write_samples(y_path, np.array([[-1e200, -1e200], [1e200, -4e199], [2e199, 9e199]]))
+    with np.errstate(all="ignore"):
+        code = main(["compute", str(x_path), str(y_path), "--p", p, "--out", str(out)])
+    if p == "1":
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert 8.5e199 < payload["value"] < 8.7e199
+        assert np.all(np.isfinite(payload["argmax"])) and payload["restarts_used"] < 10
+    else:
+        assert code == 3
+        assert "the order-2.0 distance between the samples is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_readme_documents_every_config_key():

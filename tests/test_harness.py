@@ -94,7 +94,7 @@ def test_emit_round_trip_and_json_keys(tmp_path):
 
 
 def test_emit_overlay_column(tmp_path):
-    overlay = Overlay("finite", BoundParams(p=2.0, s=5.0, d=2))
+    overlay = Overlay("finite", s=5.0)
     cfg = ExperimentConfig("rate_two_sample", GAUSS2, n_grid=(8, 16), mc_runs=2,
                            master_seed=5, optimizer=TINY_OPT, overlay=overlay)
     curve = run_rate_experiment(cfg)
@@ -110,7 +110,7 @@ def test_emit_overlay_column(tmp_path):
 def test_overlay_column_is_the_pth_root_of_the_formula(p):
     params = BoundParams(p=p, s=2 * p + 1, d=2)
     cfg = ExperimentConfig("rate_two_sample", GAUSS2, p=p, n_grid=(8, 16), mc_runs=1,
-                           master_seed=5, optimizer=TINY_OPT, overlay=Overlay("finite", params))
+                           master_seed=5, optimizer=TINY_OPT, overlay=Overlay("finite"))
     curve = run_rate_experiment(cfg)
     expected = [expectation_bound_finite(params, n) ** (1 / p) for n in (8, 16)]
     assert curve.bound.tolist() == expected
@@ -254,6 +254,40 @@ def test_config_validation_errors():
         run_rate_experiment(
             ExperimentConfig("ratio_exceedance", GAUSS2, n_grid=(8,), mc_runs=1)
         )
+
+
+def test_config_rejects_a_value_that_nothing_reads():
+    rkhs = RkhsPushforward(KernelSpec(4.0, 1.0), 1.0, 10)
+    for experiment, spec, kwargs, message in (
+        ("ratio_exceedance", GAUSS2, {"overlay": Overlay("finite")}, "emits no overlay"),
+        ("rate_two_sample", GAUSS2, {"d_test_list": (2, 3)}, "reads no d_test_list"),
+        ("rate_two_sample", rkhs, {"d_test_list": (10,)}, "reads no d_test_list"),
+        ("rkhs_rate", rkhs, {"d_test_list": (10, 20, 10)}, "distinct levels"),
+        ("rkhs_rate", rkhs, {"d_test_list": ()}, "distinct levels"),
+        ("rate_two_sample", GAUSS2, {"overlay": Overlay("finite", gamma=1.0)}, "reads no gamma"),
+        ("rate_two_sample", GAUSS2, {"overlay": Overlay("bogus")}, "unknown overlay kind"),
+        ("rate_two_sample", GAUSS2, {"overlay": Overlay("finite", s=4.0)}, "must exceed 2p"),
+        ("rate_two_sample", GAUSS2, {"overlay": Overlay("poly_decay")}, "decay exponent gamma"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(experiment, spec, **kwargs)
+    # the formula's order and dimension are the experiment's, so an overlay cannot
+    # carry its own
+    with pytest.raises(TypeError):
+        Overlay("finite", BoundParams(p=1.0, s=3.0, d=7))
+
+
+def test_the_overlay_reads_the_experiments_order_and_dimension():
+    spec = Gaussian(np.zeros(3), np.eye(3))
+    cfg = ExperimentConfig("rate_two_sample", spec, p=1.5, n_grid=(8, 16), mc_runs=1,
+                           master_seed=5, optimizer=TINY_OPT, overlay=Overlay("finite"))
+    params = BoundParams(p=1.5, s=4.0, d=3)
+    expected = [expectation_bound_finite(params, n) ** (1 / 1.5) for n in (8, 16)]
+    curve = run_rate_experiment(cfg)
+    assert curve.bound.tolist() == expected
+    assert curve.meta["config"]["overlay"] == {
+        "kind": "finite", "p": 1.5, "s": 4.0, "d": 3, "gamma": None, "c_user": 1.0, "C_user": 1.0,
+    }
 
 
 def test_worker_pool_is_capped_at_the_item_count(monkeypatch):

@@ -224,6 +224,14 @@ def test_vs_analytic_d1_and_spec_errors():
         msw_vs_analytic([[1.0, 1.0]], ParetoProduct(8.0, 2), 2.0, FAST, RngStream(0))
 
 
+def test_vs_analytic_order_and_dimension_errors():
+    spec = Gaussian(np.zeros(2), np.eye(2))
+    with pytest.raises(DomainError, match="order p must be >= 1, got 0.5"):
+        msw_vs_analytic([[1.0, 1.0]], spec, 0.5, FAST, RngStream(0))
+    with pytest.raises(DomainError, match="dimension mismatch: samples 3, spec 2"):
+        msw_vs_analytic([[1.0, 1.0, 1.0]], spec, 2.0, FAST, RngStream(0))
+
+
 @pytest.mark.parametrize("p", [1.0, 3.0])
 def test_vs_analytic_singular_gaussian_at_p_not_2(p):
     # points that vary only along the covariance's null space: the winning

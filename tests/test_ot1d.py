@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +193,20 @@ def test_vs_cdf_matches_the_per_call_quadrature():
         if got != reference_w1d_vs_cdf(xs, mean, var, p, k):
             mismatched.append((n, k, p))
     assert mismatched == []
+
+
+def test_vs_cdf_keeps_no_table_of_an_order_the_library_never_asks_for():
+    xs = np.sort(np.random.default_rng(31).normal(size=400))
+    law = gaussian_law(0.0, 1.0)
+    w1d_vs_cdf(xs[:2], law, 2.0, nodes_per_block=1024)  # loads the Legendre nodes
+    tracemalloc.start()
+    try:
+        w1d_vs_cdf(xs, law, 2.0, nodes_per_block=1024)  # 6.6 MB of tables
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1e6
 
 
 def test_vs_cdf_non_finite_quantiles_are_a_numeric_error():

@@ -173,6 +173,11 @@ def test_ratio_sup_requires_gaussian():
         ratio_sup(np.ones((3, 2)), ParetoProduct(8.0, 2), FAST, RngStream(0))
 
 
+def test_ratio_sup_dimension_mismatch():
+    with pytest.raises(DomainError, match="dimension mismatch: samples 3, spec 2"):
+        ratio_sup(np.ones((4, 3)), Gaussian(np.zeros(2), np.eye(2)), FAST, RngStream(0))
+
+
 def test_shatter_count_examples():
     assert shatter_count([[0.7, -0.3]]) == 2
     assert shatter_count([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) == 8

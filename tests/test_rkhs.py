@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from msw import (
-    DomainError,
     KernelSpec,
     NumericError,
     check_assumptions,
@@ -166,11 +165,6 @@ def test_check_spectrum_orthonormality_and_residuals():
     lam0 = eigenvalue(INT_SPEC, 0)
     report16 = check_spectrum(INT_SPEC, 16)
     assert np.all(report16.eigen_residuals <= 1e-6 * lam0)
-
-
-def test_check_spectrum_node_shortfall():
-    with pytest.raises(DomainError):
-        check_spectrum(INT_SPEC, 30, quad_nodes=16)
 
 
 def test_check_assumptions_examples():
