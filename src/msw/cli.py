@@ -30,8 +30,8 @@ CONFIG_KINDS = {
 # rejected (no key is limited by both). ExperimentConfig itself rejects an
 # overlay or a d_test_list that its experiment does not read.
 _READ_BY = {"p": ("rate_vs_truth", "rate_two_sample", "rkhs_rate"),
-            "eps_grid": ("ratio_exceedance",), "mean": ("gaussian",), "covariance": ("gaussian",), "shape": ("pareto_product",),
-            "d": ("gaussian", "pareto_product"),
+            "eps_grid": ("ratio_exceedance",), "mean": ("gaussian",), "covariance": ("gaussian",),
+            "shape": ("pareto_product",), "d": ("gaussian", "pareto_product"),
             **{key: ("rkhs_pushforward",) for key in ("sigma2", "w", "eta2", "d_test")}}
 # kind -> (its name in errors, the types it accepts, the cast applied)
 _KINDS = {
