@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, check_order
 
 CONCENTRATION_KINDS = ("finite", "exp_decay", "poly_decay", "ratio_finite", "ratio_exp", "ratio_poly")
 
@@ -54,8 +54,7 @@ class BoundParams:
     C_user: float = 1.0
 
     def __post_init__(self):
-        if not self.p >= 1.0:
-            raise DomainError(f"order p must be >= 1, got {self.p}")
+        check_order(self.p)
         if not self.s > 2.0 * self.p:
             raise DomainError(f"moment order s must exceed 2p = {2 * self.p}, got {self.s}")
         if self.d is not None and self.d < 1:

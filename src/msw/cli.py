@@ -25,14 +25,6 @@ CONFIG_KINDS = {
     "overlay_s": "number", "overlay_gamma": "number", "overlay_C": "number",
     "mean": "numbers", "eps_grid": "numbers",
 }
-# keys that only some experiments, or only some distributions, read; a config
-# whose experiment and distribution are both missing from a key's readers is
-# rejected (no key is limited by both). ExperimentConfig itself rejects an
-# overlay or a d_test_list that its experiment does not read.
-_READ_BY = {"p": ("rate_vs_truth", "rate_two_sample", "rkhs_rate"),
-            "eps_grid": ("ratio_exceedance",), "mean": ("gaussian",), "covariance": ("gaussian",),
-            "shape": ("pareto_product",), "d": ("gaussian", "pareto_product"),
-            **{key: ("rkhs_pushforward",) for key in ("sigma2", "w", "eta2", "d_test")}}
 # kind -> (its name in errors, the types it accepts, the cast applied)
 _KINDS = {
     "text": ("text", str, str),
@@ -127,49 +119,53 @@ def _require(m: dict, dist: str, *keys: str) -> None:
 
 
 def _build_spec(m: dict):
+    """The distribution spec; the keys it reads are removed from m, except
+    d_test_list, whose largest level is the spec's d_test."""
     import numpy as np
 
     from .measures import Gaussian, ParetoProduct, RkhsPushforward
     from .rkhs import KernelSpec
 
-    dist = m.get("distribution", "gaussian")
+    dist = m.pop("distribution", "gaussian")
     if m.get("d", 1) < 1:
         raise ConfigError(f"d must be >= 1, got {m['d']}")
     if dist == "gaussian":
-        mean = m.get("mean", 0.0)
-        if isinstance(mean, list) and m.get("d", len(mean)) != len(mean):
-            raise ConfigError(f"d = {m['d']} disagrees with the {len(mean)} entries of mean")
-        mean = np.asarray(mean) if isinstance(mean, list) else np.full(m.get("d", 2), mean)
-        return Gaussian(mean, _build_covariance(m.get("covariance"), mean.size))
+        mean = m.pop("mean", 0.0)
+        d = m.pop("d", len(mean) if isinstance(mean, list) else 2)
+        if isinstance(mean, list) and d != len(mean):
+            raise ConfigError(f"d = {d} disagrees with the {len(mean)} entries of mean")
+        mean = np.asarray(mean) if isinstance(mean, list) else np.full(d, mean)
+        return Gaussian(mean, _build_covariance(m.pop("covariance", None), mean.size))
     if dist == "pareto_product":
         _require(m, dist, "shape")
-        return ParetoProduct(m["shape"], m.get("d", 2))
+        return ParetoProduct(m.pop("shape"), m.pop("d", 2))
     if dist == "rkhs_pushforward":
         _require(m, dist, "sigma2", "w", "eta2")
         if ("d_test" in m) == ("d_test_list" in m):
             raise ConfigError("rkhs_pushforward takes exactly one of 'd_test' and 'd_test_list'")
-        d_test = m["d_test"] if "d_test" in m else _as_list(m["d_test_list"])[0]
-        return RkhsPushforward(KernelSpec(m["sigma2"], m["w"]), m["eta2"], d_test)
+        d_test = m.pop("d_test") if "d_test" in m else max(_as_list(m["d_test_list"]))
+        return RkhsPushforward(KernelSpec(m.pop("sigma2"), m.pop("w")), m.pop("eta2"), d_test)
     raise ConfigError(f"unknown distribution {dist!r}")
 
 
 def _build_overlay(m: dict) -> Overlay | None:
+    """The overlay, if m sets overlay_kind; the keys it reads are removed from m."""
     from .harness import Overlay
 
     if "overlay_kind" not in m:
         return None
     names = {"overlay_s": "s", "overlay_gamma": "gamma", "overlay_C": "C_user"}
-    return Overlay(m["overlay_kind"], **{names[k]: m[k] for k in names if k in m})
+    return Overlay(m.pop("overlay_kind"), **{names[k]: m.pop(k) for k in names if k in m})
 
 
 def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, ...]]:
     """Build an ExperimentConfig (plus the eps grid for ratio experiments).
 
     Every key is looked up in CONFIG_KINDS and every value typed before
-    anything is built, and a key that the experiment never reads is rejected,
-    so a malformed config fails before the first trial. Only the keys the
-    mapping sets are passed on: ExperimentConfig and OptimizerOpts hold the
-    defaults.
+    anything is built, so a malformed config fails before the first trial.
+    Each builder removes the keys it reads, and a key that none of them reads
+    is rejected. Only the keys the mapping sets are passed on:
+    ExperimentConfig and OptimizerOpts hold the defaults.
     """
     from .harness import ExperimentConfig
     from .maxsliced import OptimizerOpts
@@ -180,23 +176,18 @@ def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, .
     m = {key: _typed(key, value, CONFIG_KINDS[key]) for key, value in mapping.items()}
     if "experiment" not in m:
         raise ConfigError("config must set 'experiment'")
-    fields = {k: m[k] for k in ("p", "mc_runs", "master_seed") if k in m}
-    fields.update({k: tuple(_as_list(m[k])) for k in ("n_grid", "d_test_list") if k in m})
-    config = ExperimentConfig(
-        experiment=m["experiment"],
-        spec=_build_spec(m),
-        optimizer=OptimizerOpts(**{k: m[k] for k in ("restarts", "max_iters") if k in m}),
-        overlay=_build_overlay(m),
-        **fields,
-    )
-    exp, dist = config.experiment, m.get("distribution", "gaussian")
-    unread = sorted(k for k in m if not {exp, dist} & set(_READ_BY.get(k, (exp,)))
-                    or k.startswith("overlay_") and "overlay_kind" not in m)
-    if unread:
+    exp, dist = m.pop("experiment"), m.get("distribution", "gaussian")
+    spec = _build_spec(m)
+    fields = {k: m.pop(k) for k in ("p", "mc_runs", "master_seed") if k in m}
+    fields.update({k: tuple(_as_list(m.pop(k))) for k in ("n_grid", "d_test_list") if k in m})
+    optimizer = OptimizerOpts(**{k: m.pop(k) for k in ("restarts", "max_iters") if k in m})
+    config = ExperimentConfig(exp, spec, optimizer=optimizer, overlay=_build_overlay(m), **fields)
+    eps_grid = m.pop("eps_grid", DEFAULT_EPS_GRID) if exp == "ratio_exceedance" else DEFAULT_EPS_GRID
+    if m:
         raise ConfigError(
-            f"experiment {exp!r} with distribution {dist!r} does not read {', '.join(unread)}"
+            f"experiment {exp!r} with distribution {dist!r} does not read {', '.join(sorted(m))}"
         )
-    return config, tuple(_as_list(m.get("eps_grid", DEFAULT_EPS_GRID)))
+    return config, tuple(_as_list(eps_grid))
 
 
 def load_sample_file(path) -> np.ndarray:

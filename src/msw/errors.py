@@ -27,3 +27,9 @@ class NumericError(MswError):
 
 class ConfigError(MswError, ValueError):
     """An experiment configuration is inconsistent or incomplete."""
+
+
+def check_order(p, error=DomainError) -> None:
+    """Raise error unless the order p is finite and at least 1."""
+    if not 1.0 <= p < float("inf"):
+        raise error(f"order p must be finite and >= 1, got {p}")

@@ -29,7 +29,7 @@ from .bounds import (
 # the sampler and the searches are read from their modules at each call, for
 # the reason given in maxsliced.py
 from . import maxsliced, measures, ratio
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError, check_order
 from .maxsliced import OptimizerOpts
 from .measures import DistributionSpec, Gaussian, ParetoProduct, RkhsPushforward, RngStream
 
@@ -68,9 +68,18 @@ class Overlay:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One seeded Monte Carlo experiment: its law, sample sizes, trials and search.
+
+    p is the order of the rate experiments' distance, 2.0 when unset; the
+    ratio statistic has no order, so ratio_exceedance takes no p and records
+    it as None. rkhs_rate samples its spec and slices each draw to the
+    truncation levels of d_test_list, whose largest level must be the spec's
+    d_test; no list means the one level spec.d_test.
+    """
+
     experiment: str
     spec: DistributionSpec
-    p: float = 2.0
+    p: float | None = None
     n_grid: tuple[int, ...] = DEFAULT_N_GRID
     mc_runs: int = 100
     master_seed: int = 0
@@ -89,8 +98,12 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
         if self.mc_runs < 1:
             raise ConfigError(f"mc_runs must be >= 1, got {self.mc_runs}")
-        if not self.p >= 1.0:
-            raise ConfigError(f"order p must be >= 1, got {self.p}")
+        if self.experiment == "ratio_exceedance":
+            if self.p is not None:
+                raise ConfigError("experiment 'ratio_exceedance' reads no p")
+        else:
+            object.__setattr__(self, "p", 2.0 if self.p is None else self.p)
+            check_order(self.p, ConfigError)
         if self.experiment in ("rate_vs_truth", "ratio_exceedance") and not isinstance(self.spec, Gaussian):
             raise ConfigError(f"experiment {self.experiment!r} requires a Gaussian spec")
         if self.experiment == "rkhs_rate":
@@ -102,6 +115,9 @@ class ExperimentConfig:
                 lst = tuple(int(d) for d in self.d_test_list)
                 if not lst or any(d < 1 for d in lst) or len(set(lst)) < len(lst):
                     raise ConfigError(f"d_test_list must be distinct levels >= 1, got {lst}")
+                if max(lst) != self.spec.d_test:
+                    raise ConfigError(f"the largest level of d_test_list {lst} must be the "
+                                      f"spec's d_test, {self.spec.d_test}")
                 object.__setattr__(self, "d_test_list", lst)
         elif self.d_test_list is not None:
             raise ConfigError(f"experiment {self.experiment!r} reads no d_test_list")
@@ -262,20 +278,14 @@ def _rate_trial(config: ExperimentConfig, n_index: int, trial: int):
     n = config.n_grid[n_index]
     mu_stream, nu_stream, opt_stream, _ = _streams(config, n_index, trial)
     start = time.perf_counter()
+    xs = measures.sample(config.spec, n, mu_stream)
     if config.experiment == "rate_vs_truth":
-        xs = measures.sample(config.spec, n, mu_stream)
         result = maxsliced.msw_vs_analytic(xs, config.spec, config.p, config.optimizer, opt_stream)
-        values = (result.value,)
-    elif config.experiment == "rate_two_sample":
-        xs = measures.sample(config.spec, n, mu_stream)
-        ys = measures.sample(config.spec, n, nu_stream)
+        return (result.value,), time.perf_counter() - start
+    ys = measures.sample(config.spec, n, nu_stream)
+    if config.experiment == "rate_two_sample":
         values = (maxsliced.msw_empirical(xs, ys, config.p, config.optimizer, opt_stream).value,)
-    else:  # rkhs_rate: one latent draw shared across truncation levels
-        spec = config.spec
-        d_max = max(config.d_test_list)
-        big = RkhsPushforward(spec.kernel, spec.eta2, d_max)
-        xs = measures.sample(big, n, mu_stream)
-        ys = measures.sample(big, n, nu_stream)
+    else:  # rkhs_rate: one draw, sliced to each truncation level
         values = tuple(
             maxsliced.msw_empirical(
                 xs[:, :dt], ys[:, :dt], config.p, config.optimizer, opt_stream.child(k)

@@ -23,7 +23,7 @@ import numpy as np
 # there (a test's monkeypatch, perfbench's tracer) is seen here even when this
 # module is first imported after the rebinding
 from . import ot1d
-from .errors import DomainError, ScaleError, SpecError, UnsupportedDimensionError
+from .errors import DomainError, ScaleError, SpecError, UnsupportedDimensionError, check_order
 from .measures import Gaussian, RngStream, as_samples
 from .ot1d import _normal_quantile_blocks, _projected_law, project, quantile_blocks
 
@@ -297,7 +297,12 @@ def _collect_starts(objective, pooled: np.ndarray, mean_diff: np.ndarray,
         rows.append(dirs[int(np.argmax(_value_on_grid(objective, dirs)))])
     # an overflowed scatter matrix gives NaN axes, and argmax would prefer a NaN value
     rows = np.asarray(rows)
-    return _normalize_rows(rows[np.isfinite(rows).all(axis=1)])
+    rows = rows[np.isfinite(rows).all(axis=1)]
+    # a finite row whose squared norm overflows would normalize to zero, so it
+    # is first scaled by its largest entry
+    big = ~np.isfinite(np.add.reduce(rows * rows, axis=1))
+    rows[big] /= np.abs(rows[big]).max(axis=1, keepdims=True)
+    return _normalize_rows(rows)
 
 
 def _tangent(v: np.ndarray, th: np.ndarray) -> np.ndarray:
@@ -355,8 +360,7 @@ def _run_search(objective, pooled, mean_diff, extra_axes, opts, rng) -> MswResul
 
 def _sample_pair(xs, ys, p: float):
     """Both samples as (n, d) arrays, once the order and the dimensions check out."""
-    if not p >= 1.0:
-        raise DomainError(f"order p must be >= 1, got {p}")
+    check_order(p)
     x, y = as_samples(xs), as_samples(ys)
     if x.shape[1] != y.shape[1]:
         raise DomainError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
@@ -391,8 +395,7 @@ def msw_vs_analytic(xs, spec: Gaussian, p: float, opts: OptimizerOpts | None = N
     """
     if not isinstance(spec, Gaussian):
         raise SpecError("analytic max-sliced distance requires a Gaussian spec")
-    if not p >= 1.0:
-        raise DomainError(f"order p must be >= 1, got {p}")
+    check_order(p)
     x = as_samples(xs)
     if x.shape[1] != spec.dim:
         raise DomainError(f"dimension mismatch: samples {x.shape[1]}, spec {spec.dim}")

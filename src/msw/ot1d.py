@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, check_order
 from .measures import as_samples
 
 # Phi^-1 diverges at {0, 1}; integration endpoints are clipped here, where the
@@ -195,8 +195,7 @@ def w1d_empirical(xs, ys, p: float) -> float:
     matching ((1/n) sum |x_(i) - y_(i)|^p)^(1/p); sizes may differ. A
     distance that overflows is a NumericError.
     """
-    if not p >= 1.0:
-        raise DomainError(f"order p must be >= 1, got {p}")
+    check_order(p)
     x = as_sorted_sample(xs)
     y = as_sorted_sample(ys)
     if x.size == y.size:
@@ -249,8 +248,7 @@ def w1d_vs_cdf(xs, law: AnalyticCdf1d, p: float, nodes_per_block: int = 32) -> f
     diverges. The nodes, weights and Phi^-1 values are the cached tables of
     _normal_quantile_blocks, which the analytic objective reads too.
     """
-    if not p >= 1.0:
-        raise DomainError(f"order p must be >= 1, got {p}")
+    check_order(p)
     if nodes_per_block < 1:
         raise DomainError(f"nodes_per_block must be >= 1, got {nodes_per_block}")
     x = as_sorted_sample(xs)

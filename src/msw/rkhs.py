@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, SpecError
+from .errors import DomainError, NumericError, SpecError, check_order
 
 # exp() overflows just above this; reached only far outside any sampling range
 _EXP_ARG_MAX = 700.0
@@ -227,8 +227,7 @@ def check_assumptions(kernel: KernelSpec, eta2: float, p: float) -> AssumptionRe
     """Check eigenvalue decay and the admissible moment range for order p."""
     if not eta2 > 0.0:
         raise DomainError(f"source variance must be positive, got {eta2}")
-    if not p >= 1.0:
-        raise DomainError(f"order p must be >= 1, got {p}")
+    check_order(p)
     s_min = 2.0 * p
     s_max = 2.0 * kernel.sigma2 / eta2
     return AssumptionReport(

@@ -232,7 +232,7 @@ def test_criterion_07_spectral_verification():
 
 @pytest.mark.slow
 def test_criterion_08_rkhs_rate_reproduction():
-    spec = RkhsPushforward(KernelSpec(4.0, 1.0), 1.0, 10)
+    spec = RkhsPushforward(KernelSpec(4.0, 1.0), 1.0, 30)
     cfg = ExperimentConfig(
         "rkhs_rate", spec, p=2.0, mc_runs=50, master_seed=4000,
         optimizer=OptimizerOpts(), d_test_list=(10, 20, 30),

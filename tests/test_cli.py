@@ -8,6 +8,7 @@ import pytest
 
 from msw.cli import CONFIG_KINDS, config_from_mapping, load_sample_file, main, parse_config_file
 from msw.errors import ConfigError
+from msw import harness
 from msw.harness import config_to_dict, load_rate_curve
 from msw.measures import Gaussian, ParetoProduct, RkhsPushforward
 
@@ -432,6 +433,54 @@ def test_a_nan_seed_direction_does_not_win(tmp_path, capsys, p):
         assert code == 3
         assert "the order-2.0 distance between the samples is not finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_an_infinite_order_exits_2(tmp_path, capsys):
+    pts, cfg = tmp_path / "pts.csv", tmp_path / "inf.cfg"
+    write_samples(pts, np.random.default_rng(2).normal(size=(6, 2)))
+    cfg.write_text(_RATE_CFG + "p = inf\n")
+    out = tmp_path / "compute.json"
+    assert main(["compute", str(pts), str(pts), "--p", "inf", "--out", str(out)]) == 2
+    assert "order p must be finite and >= 1, got inf" in capsys.readouterr().err
+    assert main(["rate", "--config", str(cfg), "--out", str(tmp_path / "inf.csv")]) == 2
+    assert "order p must be finite and >= 1, got inf" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["inf.cfg", "pts.csv"]
+
+
+_RKHS_KEYS = {"experiment": "rkhs_rate", "distribution": "rkhs_pushforward", "sigma2": 4, "w": 1,
+              "eta2": 1, "n_grid": [8, 16]}
+
+
+def test_the_rkhs_spec_is_the_top_level_and_a_ratio_config_has_no_order():
+    config, _ = config_from_mapping({**_RKHS_KEYS, "d_test_list": [3, 5]})
+    assert config.spec.d_test == 5 and config.d_test_list == (3, 5)
+    assert config_to_dict(config)["spec"]["d_test"] == 5
+    config, eps_grid = config_from_mapping({"experiment": "ratio_exceedance", "d": 2})
+    assert config.p is None and config_to_dict(config)["p"] is None
+    with pytest.raises(ConfigError, match="experiment 'ratio_exceedance' reads no p"):
+        config_from_mapping({"experiment": "ratio_exceedance", "d": 2, "p": 2})
+    # eps_grid is read by the ratio experiment alone; the others are handed the default
+    config, eps_grid = config_from_mapping({"experiment": "ratio_exceedance", "eps_grid": [0.5]})
+    assert eps_grid == (0.5,)
+    config, eps_grid = config_from_mapping({"experiment": "rate_vs_truth"})
+    assert config.p == 2.0 and len(eps_grid) == 24
+
+
+# a change to config_to_dict moves these: it has to be deliberate
+@pytest.mark.parametrize("mapping,digest", [
+    ({"experiment": "rate_vs_truth", "d": 2, "n_grid": [8, 16], "mc_runs": 2},
+     "fc20a1957ef040505df9192fa8cfeba406c5a2102b4ba72b36344c1b49449160"),
+    ({"experiment": "rate_two_sample", "distribution": "pareto_product", "shape": 8, "d": 2,
+      "n_grid": [8, 16], "overlay_kind": "finite", "overlay_s": 6},
+     "a57c9d265618b3b4b4799cb6a55ffc66f16c78d0ef3d6d544cb5b4199f27c5e1"),
+    ({**_RKHS_KEYS, "d_test_list": [3, 5]},
+     "93685e0197dd316b835ccef30f32af36db484bdc030898de8efa9995113517a3"),
+    ({"experiment": "ratio_exceedance", "d": 2, "n_grid": [20], "mc_runs": 2},
+     "9a3327c84ef1d391c40e858082849d47aceec29c32994f37ee2da023e750b939"),
+], ids=["rate_vs_truth", "pareto_overlay", "rkhs_levels", "ratio_exceedance"])
+def test_content_hash_is_pinned(mapping, digest):
+    config, _ = config_from_mapping(mapping)
+    assert harness._meta(config, 1)["content_hash"] == digest
 
 
 def test_readme_documents_every_config_key():

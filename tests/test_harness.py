@@ -188,7 +188,7 @@ def test_rkhs_truncation_slices_are_consistent():
 
 
 def test_rkhs_rate_returns_curve_per_truncation():
-    spec = RkhsPushforward(KernelSpec(4.0, 1.0), 1.0, 10)
+    spec = RkhsPushforward(KernelSpec(4.0, 1.0), 1.0, 20)
     cfg = ExperimentConfig("rkhs_rate", spec, n_grid=(10, 20), mc_runs=2,
                            master_seed=2, optimizer=TINY_OPT, d_test_list=(10, 20))
     curves = run_rate_experiment(cfg)
@@ -288,6 +288,20 @@ def test_the_overlay_reads_the_experiments_order_and_dimension():
     assert curve.meta["config"]["overlay"] == {
         "kind": "finite", "p": 1.5, "s": 4.0, "d": 3, "gamma": None, "c_user": 1.0, "C_user": 1.0,
     }
+
+
+def test_ratio_takes_no_order_and_rkhs_samples_the_spec_it_records():
+    with pytest.raises(ConfigError, match="experiment 'ratio_exceedance' reads no p"):
+        ExperimentConfig("ratio_exceedance", GAUSS2, p=3.0)
+    assert harness.config_to_dict(ExperimentConfig("ratio_exceedance", GAUSS2))["p"] is None
+    assert ExperimentConfig("rate_two_sample", GAUSS2).p == 2.0
+    stale = RkhsPushforward(KernelSpec(4.0, 1.0), 1.0, 99)
+    with pytest.raises(ConfigError, match=r"largest level of d_test_list \(3, 5\) must be"):
+        ExperimentConfig("rkhs_rate", stale, d_test_list=(3, 5))
+    assert ExperimentConfig("rkhs_rate", stale).d_test_list == (99,)
+    for p in (math.inf, math.nan, 0.5):
+        with pytest.raises(ConfigError, match="order p must be finite and >= 1"):
+            ExperimentConfig("rate_two_sample", GAUSS2, p=p)
 
 
 def test_worker_pool_is_capped_at_the_item_count(monkeypatch):

@@ -226,7 +226,7 @@ def test_vs_analytic_d1_and_spec_errors():
 
 def test_vs_analytic_order_and_dimension_errors():
     spec = Gaussian(np.zeros(2), np.eye(2))
-    with pytest.raises(DomainError, match="order p must be >= 1, got 0.5"):
+    with pytest.raises(DomainError, match="order p must be finite and >= 1, got 0.5"):
         msw_vs_analytic([[1.0, 1.0]], spec, 0.5, FAST, RngStream(0))
     with pytest.raises(DomainError, match="dimension mismatch: samples 3, spec 2"):
         msw_vs_analytic([[1.0, 1.0, 1.0]], spec, 2.0, FAST, RngStream(0))
@@ -441,6 +441,22 @@ def test_ascend_matches_the_masked_reference_loop(max_iters):
         if max_iters == 200:
             # the starts stall at different iterations, so the batch shrinks in steps
             assert len(set(counted.batches)) >= 3, (name, counted.batches)
+
+
+def test_every_start_has_unit_norm_when_a_squared_norm_overflows():
+    # the mean difference of these rows is finite, but its squared norm is not
+    x = np.array([[1e200, 1e200], [-1e200, 5e199], [3e199, -1e200]])
+    y = np.array([[-1e200, -1e200], [1e200, -4e199], [2e199, 9e199]])
+    with np.errstate(all="ignore"):
+        starts = _collect_starts(_TwoSampleObjective(x, y, 1.0), np.vstack([x, y]),
+                                 x.mean(0) - y.mean(0), None, OptimizerOpts(), RngStream(0))
+    assert np.all(np.abs(np.linalg.norm(starts, axis=1) - 1.0) < 1e-12)
+    # rows whose squared norm is finite keep their bits
+    for name, objective, pooled, mean_diff in _ascend_cases():
+        opts = OptimizerOpts(restarts=6, max_iters=20)
+        starts = _collect_starts(objective, pooled, mean_diff, None, opts, RngStream(5))
+        rows = [RngStream(5).child(r).generator().standard_normal(pooled.shape[1]) for r in range(6)]
+        assert np.array_equal(starts[:6], _normalize_rows(np.asarray(rows))), name
 
 
 @pytest.mark.parametrize("n,m", [(300, 300), (300, 170)])

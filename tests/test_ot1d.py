@@ -104,6 +104,14 @@ def test_w1d_errors():
         w1d_empirical([2.0, 1.0], [1.0], 1.0)  # not sorted
 
 
+def test_an_infinite_order_is_a_domain_error():
+    for p in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="order p must be finite and >= 1"):
+            w1d_empirical([1.0], [2.0], p)
+        with pytest.raises(DomainError, match="order p must be finite and >= 1"):
+            w1d_vs_cdf([1.0], gaussian_law(0.0, 1.0), p)
+
+
 @pytest.mark.parametrize(
     "points,theta,expected",
     [
