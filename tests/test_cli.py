@@ -8,8 +8,7 @@ import pytest
 
 from msw.cli import CONFIG_KINDS, config_from_mapping, load_sample_file, main, parse_config_file
 from msw.errors import ConfigError
-from msw import harness
-from msw.harness import config_to_dict, load_rate_curve
+from msw.harness import _meta, config_to_dict, load_rate_curve
 from msw.measures import Gaussian, ParetoProduct, RkhsPushforward
 
 
@@ -480,7 +479,7 @@ def test_the_rkhs_spec_is_the_top_level_and_a_ratio_config_has_no_order():
 ], ids=["rate_vs_truth", "pareto_overlay", "rkhs_levels", "ratio_exceedance"])
 def test_content_hash_is_pinned(mapping, digest):
     config, _ = config_from_mapping(mapping)
-    assert harness._meta(config, 1)["content_hash"] == digest
+    assert _meta(config, 1)["content_hash"] == digest
 
 
 def test_readme_documents_every_config_key():
