@@ -136,7 +136,7 @@ def ratio_tail_bound(n: int, d: int, eps: float) -> BoundValue:
     """Tail bound 8 exp((d+1) log(2n+1) - n eps^2 / 4) on the ratio statistic."""
     if n < 1 or d < 1:
         raise DomainError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise DomainError(f"threshold must be nonnegative, got {eps}")
     raw = 8.0 * _exp((d + 1) * _log2n1(n) - n * eps * eps / 4.0)
     return BoundValue(raw=raw, clipped=min(1.0, raw))

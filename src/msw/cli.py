@@ -13,8 +13,6 @@ from pathlib import Path
 # the rest of the package (and numpy) is imported by the command that runs it
 from .errors import ConfigError, DomainError, MswError, NumericError, SpecError
 
-DEFAULT_EPS_GRID = tuple(round(0.05 * k, 2) for k in range(1, 25))
-
 # every config key and the kind of its values, a plural kind taking a comma
 # list; README.md documents the same set
 CONFIG_KINDS = {
@@ -158,8 +156,8 @@ def _build_overlay(m: dict) -> Overlay | None:
     return Overlay(m.pop("overlay_kind"), **{names[k]: m.pop(k) for k in names if k in m})
 
 
-def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, ...]]:
-    """Build an ExperimentConfig (plus the eps grid for ratio experiments).
+def config_from_mapping(mapping: dict) -> ExperimentConfig:
+    """Build an ExperimentConfig from a config file's mapping.
 
     Every key is looked up in CONFIG_KINDS and every value typed before
     anything is built, so a malformed config fails before the first trial.
@@ -179,15 +177,14 @@ def config_from_mapping(mapping: dict) -> tuple[ExperimentConfig, tuple[float, .
     exp, dist = m.pop("experiment"), m.get("distribution", "gaussian")
     spec = _build_spec(m)
     fields = {k: m.pop(k) for k in ("p", "mc_runs", "master_seed") if k in m}
-    fields.update({k: tuple(_as_list(m.pop(k))) for k in ("n_grid", "d_test_list") if k in m})
+    fields.update({k: tuple(_as_list(m.pop(k))) for k in ("n_grid", "d_test_list", "eps_grid") if k in m})
     optimizer = OptimizerOpts(**{k: m.pop(k) for k in ("restarts", "max_iters") if k in m})
     config = ExperimentConfig(exp, spec, optimizer=optimizer, overlay=_build_overlay(m), **fields)
-    eps_grid = m.pop("eps_grid", DEFAULT_EPS_GRID) if exp == "ratio_exceedance" else DEFAULT_EPS_GRID
     if m:
         raise ConfigError(
             f"experiment {exp!r} with distribution {dist!r} does not read {', '.join(sorted(m))}"
         )
-    return config, tuple(_as_list(eps_grid))
+    return config
 
 
 def load_sample_file(path) -> np.ndarray:
@@ -241,7 +238,7 @@ def _cmd_compute(args) -> int:
 
 
 def _load_config(args, **defaults):
-    """The config file's ExperimentConfig and eps grid; --seed overrides master_seed."""
+    """The config file's ExperimentConfig; --seed overrides master_seed."""
     mapping = {**defaults, **parse_config_file(args.config)}
     if args.seed is not None:
         mapping["master_seed"] = args.seed
@@ -251,8 +248,7 @@ def _load_config(args, **defaults):
 def _cmd_rate(args) -> int:
     from .harness import emit, run_rate_experiment
 
-    config, _ = _load_config(args)
-    result = run_rate_experiment(config, threads=args.threads)
+    result = run_rate_experiment(_load_config(args), threads=args.threads)
     out = Path(args.out)
     if isinstance(result, dict):
         for d_test, curve in result.items():
@@ -265,8 +261,8 @@ def _cmd_rate(args) -> int:
 def _cmd_ratio(args) -> int:
     from .harness import emit, run_ratio_experiment
 
-    config, eps_grid = _load_config(args, experiment="ratio_exceedance")
-    emit(run_ratio_experiment(config, eps_grid, threads=args.threads), args.format, args.out)
+    config = _load_config(args, experiment="ratio_exceedance")
+    emit(run_ratio_experiment(config, threads=args.threads), args.format, args.out)
     return 0
 
 

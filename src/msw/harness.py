@@ -40,6 +40,7 @@ _ROLE_MU, _ROLE_NU, _ROLE_OPT, _ROLE_SPARE = 0, 1, 2, 3
 
 # desk-scale default grid of sample sizes
 DEFAULT_N_GRID = (50, 100, 200, 400, 800, 1600)
+DEFAULT_EPS_GRID = tuple(round(0.05 * k, 2) for k in range(1, 25))
 
 _OVERLAY_FORMULAS = {
     "finite": expectation_bound_finite,
@@ -74,7 +75,8 @@ class ExperimentConfig:
     ratio statistic has no order, so ratio_exceedance takes no p and records
     it as None. rkhs_rate samples its spec and slices each draw to the
     truncation levels of d_test_list, whose largest level must be the spec's
-    d_test; no list means the one level spec.d_test.
+    d_test; no list means the one level spec.d_test. eps_grid holds the
+    thresholds of ratio_exceedance alone, DEFAULT_EPS_GRID when unset, each >= 0.
     """
 
     experiment: str
@@ -85,6 +87,7 @@ class ExperimentConfig:
     master_seed: int = 0
     optimizer: OptimizerOpts = OptimizerOpts()
     d_test_list: tuple[int, ...] | None = None
+    eps_grid: tuple[float, ...] | None = None
     overlay: Overlay | None = None
 
     def __post_init__(self):
@@ -121,6 +124,13 @@ class ExperimentConfig:
                 object.__setattr__(self, "d_test_list", lst)
         elif self.d_test_list is not None:
             raise ConfigError(f"experiment {self.experiment!r} reads no d_test_list")
+        if self.experiment == "ratio_exceedance":
+            eps = tuple(float(e) for e in (DEFAULT_EPS_GRID if self.eps_grid is None else self.eps_grid))
+            if not eps or not all(e >= 0.0 for e in eps):
+                raise ConfigError(f"eps_grid must be nonempty thresholds >= 0, got {eps}")
+            object.__setattr__(self, "eps_grid", eps)
+        elif self.eps_grid is not None:
+            raise ConfigError(f"experiment {self.experiment!r} reads no eps_grid")
         if self.overlay is not None:
             kind = self.overlay.kind
             if self.experiment == "ratio_exceedance":
@@ -222,6 +232,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
     if config.d_test_list is not None:
         out["d_test_list"] = list(config.d_test_list)
+    if config.eps_grid is not None:
+        out["eps_grid"] = list(config.eps_grid)
     if config.overlay is not None:
         out["overlay"] = {"kind": config.overlay.kind, **asdict(config._bound_params())}
     return out
@@ -372,19 +384,16 @@ def run_rate_experiment(config: ExperimentConfig, threads: int = 1):
     return _aggregate(config, values[0], walls, workers)
 
 
-def run_ratio_experiment(config: ExperimentConfig, eps_grid, threads: int = 1) -> RatioTable:
-    """Exceedance frequencies of the ratio statistic against the tail bound."""
+def run_ratio_experiment(config: ExperimentConfig, threads: int = 1) -> RatioTable:
+    """Exceedance frequencies of the ratio statistic at config.eps_grid against the tail bound."""
     if config.experiment != "ratio_exceedance":
         raise ConfigError(f"run_ratio_experiment cannot run {config.experiment!r}")
-    eps_grid = np.asarray(eps_grid, dtype=np.float64)
-    if eps_grid.ndim != 1 or eps_grid.size < 1 or np.any(eps_grid < 0.0):
-        raise ConfigError("eps_grid must be a nonempty vector of nonnegative thresholds")
     d = config.spec.dim
     values, _, workers = _run_items(_ratio_trial, config, threads)
     rows = [
-        (n, float(eps), float(np.mean(values[0, i] >= eps)), ratio_tail_bound(n, d, float(eps)))
+        (n, eps, float(np.mean(values[0, i] >= eps)), ratio_tail_bound(n, d, eps))
         for i, n in enumerate(config.n_grid)
-        for eps in eps_grid
+        for eps in config.eps_grid
     ]
     n, eps, freq, bounds = zip(*rows)
     return RatioTable(

@@ -32,8 +32,8 @@ _SEED_GRID = {2: 256, 3: 1024}
 # directions per value call in _value_on_grid
 _GRID_BLOCK = 64
 # quadrature order for the analytic objective during iteration, used only at
-# p != 2 (p = 2 has a closed form); the final certificate is recomputed at the
-# full default order of w1d_vs_cdf
+# p != 2 (p = 2 has a closed form); the final certificate is recomputed by
+# w1d_vs_cdf at its 32 nodes
 _OPT_NODES = 8
 # each start's first step and its growth after a rise (it halves after a
 # fall); a start stops after _PATIENCE tries without a relative gain of _TOL
@@ -279,7 +279,7 @@ def _value_on_grid(objective, dirs: np.ndarray) -> np.ndarray:
 
 def _collect_starts(objective, pooled: np.ndarray, mean_diff: np.ndarray,
                     extra_axes: np.ndarray | None, opts: OptimizerOpts, rng: RngStream):
-    """Random restarts plus seed directions, as unit rows; non-finite seeds are dropped."""
+    """Random restarts plus seed directions, as unit rows; non-finite and zero seeds are dropped."""
     d = pooled.shape[1]
     rows = [
         rng.child(r).generator().standard_normal(d) for r in range(opts.restarts)
@@ -290,18 +290,18 @@ def _collect_starts(objective, pooled: np.ndarray, mean_diff: np.ndarray,
         rows.extend(vecs[:, -1 - k] for k in range(min(3, d)))
     if extra_axes is not None:
         rows.extend(extra_axes)
-    if np.linalg.norm(mean_diff) > 1e-12:
-        rows.append(mean_diff)
+    rows.append(mean_diff)
     if d in _SEED_GRID:
         dirs = grid_directions(d, _SEED_GRID[d])
         rows.append(dirs[int(np.argmax(_value_on_grid(objective, dirs)))])
     # an overflowed scatter matrix gives NaN axes, and argmax would prefer a NaN value
     rows = np.asarray(rows)
-    rows = rows[np.isfinite(rows).all(axis=1)]
-    # a finite row whose squared norm overflows would normalize to zero, so it
-    # is first scaled by its largest entry
-    big = ~np.isfinite(np.add.reduce(rows * rows, axis=1))
-    rows[big] /= np.abs(rows[big]).max(axis=1, keepdims=True)
+    rows = rows[np.isfinite(rows).all(axis=1) & rows.any(axis=1)]
+    # a row whose squared norm overflows would normalize to zero, and one whose
+    # squared norm underflows to a huge row, so each is first scaled by its largest entry
+    sq = np.add.reduce(rows * rows, axis=1)
+    odd = ~(np.isfinite(sq) & (sq >= np.finfo(np.float64).tiny))
+    rows[odd] /= np.abs(rows[odd]).max(axis=1, keepdims=True)
     return _normalize_rows(rows)
 
 

@@ -19,6 +19,7 @@ from .measures import as_samples
 # Phi^-1 diverges at {0, 1}; integration endpoints are clipped here, where the
 # omitted mass is far below every stated tolerance
 _U_CLIP = 1e-12
+_VS_CDF_NODES = 32  # Gauss-Legendre nodes per quantile block in w1d_vs_cdf
 
 # cephes ndtri (S. Moshier, Methods and Programs for Mathematical Functions,
 # 1989), the algorithm of scipy's ndtri. P/Q are rational approximations,
@@ -208,11 +209,6 @@ def w1d_empirical(xs, ys, p: float) -> float:
     return value
 
 
-@lru_cache(maxsize=64)
-def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(nodes)
-
-
 @lru_cache(maxsize=32)
 def _normal_quantile_blocks(n: int, nodes: int | None) -> tuple[np.ndarray, ...]:
     """The standard normal quantile Phi^-1 over the n blocks ((i-1)/n, i/n].
@@ -231,7 +227,7 @@ def _normal_quantile_blocks(n: int, nodes: int | None) -> tuple[np.ndarray, ...]
     else:
         edges = np.clip(np.arange(n + 1) / n, _U_CLIP, 1.0 - _U_CLIP)
         lo, hi = edges[:-1], edges[1:]
-        t, v = _leggauss(nodes)
+        t, v = np.polynomial.legendre.leggauss(nodes)
         u = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t[None, :]
         tables = (0.5 * (hi - lo)[:, None] * v[None, :], _ndtri(u))
     for table in tables:
@@ -239,22 +235,18 @@ def _normal_quantile_blocks(n: int, nodes: int | None) -> tuple[np.ndarray, ...]
     return tables
 
 
-def w1d_vs_cdf(xs, law: AnalyticCdf1d, p: float, nodes_per_block: int = 32) -> float:
+def w1d_vs_cdf(xs, law: AnalyticCdf1d, p: float) -> float:
     """Order-p Wasserstein distance between an empirical measure and N(mean, sd^2).
 
     Integrates |x_(i) - mean - sd Phi^-1(u)|^p over each quantile block
-    ((i-1)/n, i/n] by fixed-order Gauss-Legendre quadrature with
-    nodes_per_block nodes, the endpoints clipped away from {0, 1} where Phi^-1
-    diverges. The nodes, weights and Phi^-1 values are the cached tables of
-    _normal_quantile_blocks, which the analytic objective reads too.
+    ((i-1)/n, i/n] by Gauss-Legendre quadrature with _VS_CDF_NODES = 32 nodes,
+    the endpoints clipped away from {0, 1} where Phi^-1 diverges. The nodes,
+    weights and Phi^-1 values are the cached tables of _normal_quantile_blocks,
+    which the analytic objective reads too.
     """
     check_order(p)
-    if nodes_per_block < 1:
-        raise DomainError(f"nodes_per_block must be >= 1, got {nodes_per_block}")
     x = as_sorted_sample(xs)
-    # the cache keeps only the orders the library asks for, so a large one dies with the call
-    blocks = _normal_quantile_blocks if nodes_per_block == 32 else _normal_quantile_blocks.__wrapped__
-    w, z = blocks(x.size, nodes_per_block)
+    w, z = _normal_quantile_blocks(x.size, _VS_CDF_NODES)
     q = law.mean + law.sd * z
     if not np.all(np.isfinite(q)):
         raise NumericError(f"quantiles of N({law.mean!r}, {law.sd!r}^2) are not finite")

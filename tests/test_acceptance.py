@@ -253,8 +253,7 @@ def test_criterion_09_ratio_bound_consistency():
         "ratio_exceedance", spec, n_grid=(200,), mc_runs=50, master_seed=900,
         optimizer=OptimizerOpts(restarts=6, max_iters=60),
     )
-    eps_grid = tuple(round(0.05 * k, 2) for k in range(1, 25))
-    table = run_ratio_experiment(cfg, eps_grid, threads=0)
+    table = run_ratio_experiment(cfg, threads=0)
     with criterion(9, "ratio exceedance frequencies respect the tail bound"):
         checked = 0
         for eps, freq, bound in zip(table.epsilon, table.frequency, table.bound):

@@ -59,15 +59,15 @@ master_seed = 7
     mapping = parse_config_file(cfg)
     assert mapping["experiment"] == "rate_two_sample"
     assert mapping["n_grid"] == [10, 20, 40]
-    config, eps = config_from_mapping(mapping)
+    config = config_from_mapping(mapping)
     assert isinstance(config.spec, ParetoProduct)
     assert config.n_grid == (10, 20, 40)
     assert config.mc_runs == 3
-    assert len(eps) > 0
+    assert config.eps_grid is None
 
 
 def test_config_covariance_forms():
-    eq, _ = config_from_mapping(
+    eq = config_from_mapping(
         {"experiment": "rate_vs_truth", "d": 3, "mean": 1, "covariance": "equicorrelated(0.5)"}
     )
     assert isinstance(eq.spec, Gaussian)
@@ -75,12 +75,12 @@ def test_config_covariance_forms():
     assert eq.spec.cov[0, 0] == pytest.approx(1.0)
     assert np.all(eq.spec.mean == 1.0)
 
-    dg, _ = config_from_mapping(
+    dg = config_from_mapping(
         {"experiment": "rate_vs_truth", "d": 2, "covariance": "diag(4,1)"}
     )
     assert dg.spec.cov[0, 0] == 4.0
 
-    rk, _ = config_from_mapping(
+    rk = config_from_mapping(
         {
             "experiment": "rkhs_rate",
             "distribution": "rkhs_pushforward",
@@ -128,6 +128,35 @@ def test_ratio_command_end_to_end(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "n,epsilon,frequency,bound,bound_raw,runs"
     assert len(lines) == 3
+
+
+_RATIO_CFG = ("experiment = ratio_exceedance\nd = 2\nn_grid = 20\nmc_runs = 3\nmaster_seed = 5\n"
+              "restarts = 2\nmax_iters = 15\n")
+
+
+@pytest.mark.parametrize("grid", ["nan, 0.5", "-0.1, 0.5"], ids=["nan", "negative"])
+def test_a_nan_or_negative_threshold_exits_2(tmp_path, capsys, grid):
+    cfg, out = tmp_path / "ratio.cfg", tmp_path / "table.csv"
+    cfg.write_text(_RATIO_CFG + f"eps_grid = {grid}\n")
+    assert main(["ratio", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "eps_grid must be nonempty thresholds >= 0" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["ratio.cfg"]
+    # an infinite threshold is never exceeded, and its bound is 0
+    cfg.write_text(_RATIO_CFG + "eps_grid = inf\n")
+    assert main(["ratio", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["20,inf,0.0,0.0,0.0,3"]
+
+
+def test_the_record_holds_the_eps_grid(tmp_path):
+    hashes = []
+    for grid in ("0.1, 0.5", "0.2, 0.9, 1.5"):
+        cfg, out = tmp_path / "ratio.cfg", tmp_path / "table.csv"
+        cfg.write_text(_RATIO_CFG + f"eps_grid = {grid}\n")
+        assert main(["ratio", "--config", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        assert meta["config"]["eps_grid"] == [float(e) for e in grid.split(",")]
+        hashes.append(meta["content_hash"])
+    assert hashes[0] != hashes[1]
 
 
 def test_rkhs_spectrum_command(tmp_path):
@@ -327,7 +356,7 @@ def test_config_file_values_with_a_parenthesis_are_one_token(tmp_path):
     cfg = tmp_path / "diag.cfg"
     cfg.write_text("experiment = rate_vs_truth\nd = 2\ncovariance = diag(4, 1)\n")
     assert parse_config_file(cfg)["covariance"] == "diag(4, 1)"
-    config, _ = config_from_mapping(parse_config_file(cfg))
+    config = config_from_mapping(parse_config_file(cfg))
     assert np.array_equal(config.spec.cov, np.diag([4.0, 1.0]))
     cfg.write_text("experiment = rate_vs_truth\nd = 2\nn_grid = 10, (20\n")
     out = tmp_path / "curve.csv"
@@ -341,7 +370,7 @@ def test_overlay_errors_raise_while_building_the_config():
         config_from_mapping({**base, "overlay_kind": "bogus"})
     with pytest.raises(ConfigError, match="decay exponent gamma"):
         config_from_mapping({**base, "overlay_kind": "exp_decay"})
-    config, _ = config_from_mapping({**base, "overlay_kind": "exp_decay", "overlay_gamma": 2})
+    config = config_from_mapping({**base, "overlay_kind": "exp_decay", "overlay_gamma": 2})
     assert config.overlay.gamma == 2.0
 
 
@@ -372,9 +401,9 @@ def test_a_value_that_nothing_reads_exits_2(tmp_path, capsys, text):
 def test_an_overlay_takes_p_and_d_from_its_experiment():
     base = {"experiment": "rate_vs_truth", "d": 3, "p": 1.5, "overlay_kind": "finite"}
     fixed = {"kind": "finite", "p": 1.5, "d": 3, "gamma": None, "c_user": 1.0}
-    config, _ = config_from_mapping(base)
+    config = config_from_mapping(base)
     assert config_to_dict(config)["overlay"] == {**fixed, "s": 4.0, "C_user": 1.0}
-    config, _ = config_from_mapping({**base, "overlay_s": 9, "overlay_C": 2})
+    config = config_from_mapping({**base, "overlay_s": 9, "overlay_C": 2})
     assert config_to_dict(config)["overlay"] == {**fixed, "s": 9.0, "C_user": 2.0}
     with pytest.raises(ConfigError, match="moment order s must exceed 2p"):
         config_from_mapping({**base, "overlay_s": 3})
@@ -451,18 +480,21 @@ _RKHS_KEYS = {"experiment": "rkhs_rate", "distribution": "rkhs_pushforward", "si
 
 
 def test_the_rkhs_spec_is_the_top_level_and_a_ratio_config_has_no_order():
-    config, _ = config_from_mapping({**_RKHS_KEYS, "d_test_list": [3, 5]})
+    config = config_from_mapping({**_RKHS_KEYS, "d_test_list": [3, 5]})
     assert config.spec.d_test == 5 and config.d_test_list == (3, 5)
     assert config_to_dict(config)["spec"]["d_test"] == 5
-    config, eps_grid = config_from_mapping({"experiment": "ratio_exceedance", "d": 2})
+    config = config_from_mapping({"experiment": "ratio_exceedance", "d": 2})
     assert config.p is None and config_to_dict(config)["p"] is None
     with pytest.raises(ConfigError, match="experiment 'ratio_exceedance' reads no p"):
         config_from_mapping({"experiment": "ratio_exceedance", "d": 2, "p": 2})
-    # eps_grid is read by the ratio experiment alone; the others are handed the default
-    config, eps_grid = config_from_mapping({"experiment": "ratio_exceedance", "eps_grid": [0.5]})
-    assert eps_grid == (0.5,)
-    config, eps_grid = config_from_mapping({"experiment": "rate_vs_truth"})
-    assert config.p == 2.0 and len(eps_grid) == 24
+    # eps_grid is read by the ratio experiment alone, which defaults it
+    assert len(config.eps_grid) == 24
+    config = config_from_mapping({"experiment": "ratio_exceedance", "eps_grid": [0.5]})
+    assert config.eps_grid == (0.5,)
+    config = config_from_mapping({"experiment": "rate_vs_truth"})
+    assert config.p == 2.0 and config.eps_grid is None
+    with pytest.raises(ConfigError, match="experiment 'rate_vs_truth' reads no eps_grid"):
+        config_from_mapping({"experiment": "rate_vs_truth", "eps_grid": [0.5]})
 
 
 # a change to config_to_dict moves these: it has to be deliberate
@@ -475,11 +507,10 @@ def test_the_rkhs_spec_is_the_top_level_and_a_ratio_config_has_no_order():
     ({**_RKHS_KEYS, "d_test_list": [3, 5]},
      "93685e0197dd316b835ccef30f32af36db484bdc030898de8efa9995113517a3"),
     ({"experiment": "ratio_exceedance", "d": 2, "n_grid": [20], "mc_runs": 2},
-     "9a3327c84ef1d391c40e858082849d47aceec29c32994f37ee2da023e750b939"),
+     "c12edaf0a48c25d9c78c28bc7d0e50d7d8dc52a08a5cbcd98912aa0d2768baf9"),
 ], ids=["rate_vs_truth", "pareto_overlay", "rkhs_levels", "ratio_exceedance"])
 def test_content_hash_is_pinned(mapping, digest):
-    config, _ = config_from_mapping(mapping)
-    assert _meta(config, 1)["content_hash"] == digest
+    assert _meta(config_from_mapping(mapping), 1)["content_hash"] == digest
 
 
 def test_readme_documents_every_config_key():

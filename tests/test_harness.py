@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -221,11 +222,10 @@ def test_two_sample_mean_is_within_factor_two_of_vs_truth():
 
 
 def test_ratio_experiment_table_and_determinism():
-    cfg = ExperimentConfig("ratio_exceedance", GAUSS2, n_grid=(40,), mc_runs=6,
-                           master_seed=21, optimizer=OptimizerOpts(restarts=3, max_iters=25))
-    eps = (0.0, 0.2, 5.0)
-    a = run_ratio_experiment(cfg, eps)
-    b = run_ratio_experiment(cfg, eps, threads=3)
+    cfg = ExperimentConfig("ratio_exceedance", GAUSS2, n_grid=(40,), mc_runs=6, master_seed=21,
+                           optimizer=OptimizerOpts(restarts=3, max_iters=25), eps_grid=(0.0, 0.2, 5.0))
+    a = run_ratio_experiment(cfg)
+    b = run_ratio_experiment(cfg, threads=3)
     assert a.same_statistics(b)
     # eps = 0 row: the statistic is a.s. positive, the bound is vacuous
     assert a.frequency[0] == 1.0
@@ -249,7 +249,7 @@ def test_config_validation_errors():
         ExperimentConfig("rkhs_rate", GAUSS2)
     cfg = ExperimentConfig("rate_two_sample", GAUSS2, n_grid=(8,), mc_runs=1)
     with pytest.raises(ConfigError):
-        run_ratio_experiment(cfg, (0.1,))
+        run_ratio_experiment(cfg)
     with pytest.raises(ConfigError):
         run_rate_experiment(
             ExperimentConfig("ratio_exceedance", GAUSS2, n_grid=(8,), mc_runs=1)
@@ -329,7 +329,29 @@ def test_worker_pool_is_capped_at_the_item_count(monkeypatch):
                            master_seed=5, optimizer=TINY_OPT)
     capped = run_rate_experiment(cfg, threads=5000)
     ratio_cfg = ExperimentConfig("ratio_exceedance", GAUSS2, n_grid=(20,), mc_runs=3,
-                                 master_seed=5, optimizer=TINY_OPT)
-    run_ratio_experiment(ratio_cfg, (0.1,), threads=5000)
+                                 master_seed=5, optimizer=TINY_OPT, eps_grid=(0.1,))
+    run_ratio_experiment(ratio_cfg, threads=5000)
     assert sizes == [4, 3]
     assert capped.same_statistics(run_rate_experiment(cfg, threads=1))
+
+
+def test_the_eps_grid_is_a_checked_config_field():
+    cfg = ExperimentConfig("ratio_exceedance", GAUSS2)
+    assert cfg.eps_grid == harness.DEFAULT_EPS_GRID and len(cfg.eps_grid) == 24
+    cfg = ExperimentConfig("ratio_exceedance", GAUSS2, eps_grid=(1, 0.5))
+    assert cfg.eps_grid == (1.0, 0.5) and all(type(e) is float for e in cfg.eps_grid)
+    assert harness.config_to_dict(cfg)["eps_grid"] == [1.0, 0.5]
+    for grid in ((), (math.nan,), (0.5, -0.1)):
+        with pytest.raises(ConfigError, match="eps_grid must be nonempty thresholds >= 0"):
+            ExperimentConfig("ratio_exceedance", GAUSS2, eps_grid=grid)
+    with pytest.raises(ConfigError, match="experiment 'rate_two_sample' reads no eps_grid"):
+        ExperimentConfig("rate_two_sample", GAUSS2, eps_grid=(0.5,))
+    assert "eps_grid" not in harness.config_to_dict(ExperimentConfig("rate_two_sample", GAUSS2))
+
+
+def test_the_record_has_a_key_for_every_config_field():
+    rkhs = ExperimentConfig("rkhs_rate", RkhsPushforward(KernelSpec(4.0, 1.0), 1.0, 5),
+                            d_test_list=(3, 5), overlay=Overlay("exp_decay", gamma=2.0))
+    ratio_cfg = ExperimentConfig("ratio_exceedance", GAUSS2)
+    recorded = harness.config_to_dict(rkhs).keys() | harness.config_to_dict(ratio_cfg).keys()
+    assert sorted(f.name for f in dataclasses.fields(ExperimentConfig)) == sorted(recorded)

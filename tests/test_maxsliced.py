@@ -459,6 +459,23 @@ def test_every_start_has_unit_norm_when_a_squared_norm_overflows():
         assert np.array_equal(starts[:6], _normalize_rows(np.asarray(rows))), name
 
 
+def test_the_mean_difference_seed_does_not_depend_on_the_scale():
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(200, 5)), rng.normal(size=(200, 5)) + 0.3
+    for c in (1.0, 1e-10, 1e-13, 1e-14, 1e-170):
+        result = msw_empirical(c * x, c * y, 2.0)
+        assert result.restarts_used == 10, c
+        # the identity coupling bounds the distance along every direction
+        assert result.value <= c * np.sqrt(np.mean(np.sum((x - y) ** 2, axis=1))), c
+    # identical samples have a zero mean difference, which is dropped
+    assert msw_empirical(x, x, 2.0).restarts_used == 9
+    # a seed whose squared norm underflows is scaled before it is normalized
+    c = 1e-170
+    starts = _collect_starts(_TwoSampleObjective(c * x, c * y, 2.0), c * np.vstack([x, y]),
+                             c * (x.mean(0) - y.mean(0)), None, OptimizerOpts(), RngStream(0))
+    assert np.all(np.abs(np.linalg.norm(starts, axis=1) - 1.0) < 1e-12)
+
+
 @pytest.mark.parametrize("n,m", [(300, 300), (300, 170)])
 def test_two_sample_gradient_supports_the_value_under_ties(n, m):
     # W_2^2 is the minimum over couplings of quadratics in theta, and the sorted

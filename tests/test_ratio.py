@@ -250,3 +250,11 @@ def test_ratio_tail_bound_values():
 def test_tail_bound_monotone_in_eps():
     vals = [ratio_tail_bound(200, 2, e).raw for e in (0.0, 0.2, 0.5, 1.0, 2.0)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+def test_ratio_tail_bound_rejects_a_nan_threshold():
+    for eps in (math.nan, -0.1):
+        with pytest.raises(DomainError, match="threshold must be nonnegative"):
+            ratio_tail_bound(20, 2, eps)
+    inf = ratio_tail_bound(20, 2, math.inf)
+    assert inf.raw == inf.clipped == 0.0
