@@ -193,17 +193,25 @@ def w1d_empirical(xs, ys, p: float) -> float:
 
     Computed exactly as the L^p norm of the quantile difference over the
     merged breakpoint grid. For equal sample sizes this reduces to the sorted
-    matching ((1/n) sum |x_(i) - y_(i)|^p)^(1/p); sizes may differ. A
-    distance that overflows is a NumericError.
+    matching ((1/n) sum |x_(i) - y_(i)|^p)^(1/p); sizes may differ. When the
+    largest difference's p-th power is below the smallest normal double, the
+    differences are divided by it before the power and the root is multiplied
+    by it after, so the distance keeps its scale. A distance that overflows is
+    a NumericError.
     """
     check_order(p)
     x = as_sorted_sample(xs)
     y = as_sorted_sample(ys)
     if x.size == y.size:
-        value = float(np.mean(np.abs(x - y) ** p) ** (1.0 / p))
+        diff, w = np.abs(x - y), None
     else:
         w, xi, yj = quantile_blocks(x.size, y.size)
-        value = float(np.sum(w * np.abs(x[xi] - y[yj]) ** p) ** (1.0 / p))
+        diff = np.abs(x[xi] - y[yj])
+    top = float(np.max(diff))
+    # below 1, top ** p cannot overflow; where it underflows, take the powers of diff / top
+    scale = top if 0.0 < top < 1.0 and top**p < np.finfo(np.float64).tiny else 1.0
+    powers = (diff / scale) ** p  # dividing by 1.0 keeps every bit
+    value = scale * float((np.mean(powers) if w is None else np.sum(w * powers)) ** (1.0 / p))
     if not math.isfinite(value):
         raise NumericError(f"the order-{p!r} distance between the samples is not finite (overflow)")
     return value

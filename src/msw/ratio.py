@@ -1,6 +1,9 @@
 """Uniform ratio statistics over halfspaces and exact shatter counts.
 
-ratio_sup maximizes over directions with the max-sliced search, _run_search.
+At d = 2, with at most SWEEP_MAX_N points and a positive definite covariance,
+ratio_sup computes the exact sup over directions by an angular sweep; the
+optimizer options and stream are not read there. Otherwise it maximizes with
+the max-sliced search, _run_search.
 """
 from __future__ import annotations
 
@@ -14,6 +17,9 @@ from .maxsliced import OptimizerOpts, _argsort_columns, _run_search
 from .measures import Gaussian, RngStream, as_samples
 from .ot1d import AnalyticCdf1d, _ndtr, _projected_law, project
 
+# ratio_sup's sweep runs up to this many points at d = 2; above it the search
+# is faster (the sweep costs O(n^2 log n), timings in BENCH_21.json)
+SWEEP_MAX_N = 300
 _BRANCH_TRUTH = "truth_minus_empirical"      # (F - F_n) / sqrt(F)
 _BRANCH_EMPIRICAL = "empirical_minus_truth"  # (F_n - F) / sqrt(F_n)
 
@@ -114,13 +120,99 @@ class _RatioObjective:
         return float(self.value(theta[None])[0])
 
 
+def _whiten(x: np.ndarray, spec: Gaussian):
+    """(w, chol) with w = L^-1 (x - mean) for the symmetrized covariance L L^T,
+    so that <theta, x - mean> / |L^T theta| = <u, w> for u = L^T theta / |L^T theta|;
+    None when the covariance is singular or a whitened coordinate overflows."""
+    try:
+        chol = np.linalg.cholesky(0.5 * (spec.cov + spec.cov.T))
+    except np.linalg.LinAlgError:
+        return None
+    w = np.linalg.solve(chol, (x - spec.mean).T).T
+    return (w, chol) if np.all(np.isfinite(w)) else None
+
+
+def _piece_max(f: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max over c in {lo, hi} of |f - c| / sqrt(f v c), for lo <= hi and hi > 0.
+
+    Each piece is quasi-convex in c, so this is (f - lo) / sqrt(f) where f lies
+    above lo and (hi - f) / sqrt(hi) where it lies below hi; fmax drops the
+    0 / 0 of f = lo = 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.fmax((f - lo) / np.sqrt(f), (hi - f) / np.sqrt(hi))
+
+
+def _sweep_direction(w: np.ndarray) -> np.ndarray:
+    """The unit u at which the statistic of the whitened sample w (n, 2) against
+    N(0, I_2) attains its sup over directions u = (cos a, sin a).
+
+    Along u, point i's pieces |Phi(z_i) - c| / sqrt(Phi(z_i) v c), z_i = <u, w_i>,
+    are quasi-convex in z_i and in c. So over an arc of u on which no two
+    points tie, the sup lies at an arc end, where two points tie, or where z_i
+    is stationary, at u = +-w_i / |w_i|. With k points strictly below a tie
+    group there, c = k / n and c = (k + group size) / n bound every other c.
+
+    Duplicate points are merged, with multiplicities m. For each point i, one
+    event of each pair of antipodes lies in [0, pi): a tie with each other
+    point j, where j enters below i (+m_j) or leaves (-m_j), and one
+    stationary direction. Sorted by angle, a cumulative sum from the points
+    below i just before a = 0 gives k at each event; the antipode a + pi
+    reverses the order, so there k' = n - k - group size and z' = -z. With
+    d = w_j - w_i, j enters below i at u = (-d_y, d_x) / |d|, where
+    z_i = w_j x w_i / |d|, and leaves at -u, where z_i = w_i x w_j / |d|.
+    """
+    pts, mult = np.unique(w[:, 0] + 1j * w[:, 1], return_counts=True)
+    n, q, cols = w.shape[0], pts.size, np.arange(pts.size)
+    # a power of two, so exact: the largest |coordinate| goes to [1/2, 1), and
+    # no cross product or squared distance overflows
+    top = max(np.max(np.abs(pts.real)), np.max(np.abs(pts.imag)))
+    scale = 2.0 ** min(-np.frexp(top)[1], 1022)
+    px, py = pts.real * scale, pts.imag * scale
+    dx, dy = px[None, :] - px[:, None], py[None, :] - py[:, None]  # d at [i, j]
+    # floored, so the diagonal's z is 0, not 0 / 0; a pair below the floor lies,
+    # with its z, within 1e-138 times the largest |coordinate| of the origin
+    dist = np.sqrt(np.maximum(dx * dx + dy * dy, np.finfo(np.float64).tiny))
+    # Phi(z_i) where j leaves below i; f.T holds Phi(-z_i), where j enters
+    f = _ndtr((px[:, None] * py[None, :] - py[:, None] * px[None, :]) / dist / scale)
+    # j below i just before a = 0, a tie at a = 0 (dx = +-0, dy > 0) included,
+    # leaves in [0, pi), where i enters below j; any other j enters there
+    below = (dx < 0.0) | ((dx == 0.0) & (dy > 0.0))
+    enter = np.arctan2(dx, -dy)
+    ang = np.where(below, enter.T, enter)
+    steps = np.where(below, -mult, mult).astype(np.float64)
+    fe, fa = np.where(below, f, f.T), np.where(below, f.T, f)  # Phi(z), Phi(-z)
+    stat = np.arctan2(py, px)
+    up = stat >= 0.0  # +w_i / |w_i| lies in [0, pi]
+    norm = np.sqrt(px * px + py * py) / scale
+    ang[cols, cols] = np.where(up, stat, stat + math.pi)
+    fe[cols, cols] = _ndtr(np.where(up, norm, -norm))
+    fa[cols, cols] = _ndtr(np.where(up, -norm, norm))
+    steps[cols, cols] = 0.0
+    order = np.argsort(ang, axis=1)
+    order += q * cols[:, None]  # flat indices, each row in angle order
+    steps, fe, fa = np.take(steps, order), np.take(fe, order), np.take(fa, order)
+    k_lo = (below @ mult)[:, None] + np.cumsum(steps, axis=1) - np.maximum(steps, 0.0)
+    k_hi = k_lo + mult[:, None] + np.abs(steps)
+    vals = (_piece_max(fe, k_lo / n, k_hi / n), _piece_max(fa, (n - k_hi) / n, (n - k_lo) / n))
+    best = [int(np.argmax(v)) for v in vals]
+    side = int(vals[1].flat[best[1]] > vals[0].flat[best[0]])  # 1: the antipode
+    a = float(np.take(ang, order.flat[best[side]]))
+    return (1.0 - 2.0 * side) * np.array([math.cos(a), math.sin(a)])
+
+
 def ratio_sup(xs, spec: Gaussian, opts: OptimizerOpts | None = None,
               rng: RngStream | None = None) -> RatioStatResult:
-    """Heuristic maximization of the ratio statistic over directions.
+    """The ratio statistic's sup over directions, or a certified lower bound on it.
 
-    Runs the max-sliced search (restarts, seed directions, the Riemannian
-    ascent's adaptive step and relative stall rule) on the batched ratio
-    objective. The result is recomputed at the returned direction, so it is a
+    At d = 1 both signs are checked. At d = 2, with at most SWEEP_MAX_N points
+    and a positive definite covariance, the angular sweep of _sweep_direction
+    finds the maximizing direction, so the value is the sup itself (a tie
+    direction is as precise as the whitened difference that defines it), and
+    opts and rng are not read. Otherwise the max-sliced search (restarts, seed
+    directions, the Riemannian ascent's adaptive step and relative stall
+    rule) runs on the batched ratio objective. Either way the result is
+    recomputed at the returned direction by ratio_fixed_direction, so it is a
     certified lower bound on the sup over (theta, t).
     """
     if not isinstance(spec, Gaussian):
@@ -129,9 +221,14 @@ def ratio_sup(xs, spec: Gaussian, opts: OptimizerOpts | None = None,
     if x.shape[1] != spec.dim:
         raise DomainError(f"dimension mismatch: samples {x.shape[1]}, spec {spec.dim}")
     objective = _RatioObjective(x, spec)
+    whitened = _whiten(x, spec) if x.shape[1] == 2 and x.shape[0] <= SWEEP_MAX_N else None
     if x.shape[1] == 1:
         signs = np.array([[1.0], [-1.0]])
         theta = signs[int(np.argmax(objective.value(signs)))]
+    elif whitened is not None:
+        w, chol = whitened
+        theta = np.linalg.solve(chol.T, _sweep_direction(w))  # L^-T u
+        theta /= math.sqrt(theta @ theta)
     else:
         theta = _run_search(objective, x, x.mean(0) - spec.mean, None, opts, rng).argmax
     return ratio_fixed_direction(x, theta, _projected_law(spec, theta))

@@ -94,6 +94,18 @@ def test_w1d_translation(x, y, c):
     assert abs(w1d_empirical(x + c, y, 1.0) - w1d_empirical(x, y, 1.0)) <= abs(c) + 1e-10
 
 
+@pytest.mark.parametrize("c", [1e-160, 1e-170])
+def test_w1d_keeps_its_scale_where_the_powers_underflow(c):
+    g = np.random.default_rng(3)
+    x = np.sort(g.normal(size=200))
+    for y in (np.sort(g.normal(size=200) + 0.3), np.sort(g.normal(size=150) + 0.3)):
+        for p in (1.0, 2.0, 3.0):
+            assert w1d_empirical(c * x, c * y, p) == pytest.approx(c * w1d_empirical(x, y, p), rel=1e-12, abs=0.0)
+    # where no power underflows, the value keeps the bits of the plain formula
+    y = np.sort(g.normal(size=200))
+    assert w1d_empirical(x, y, 2.0) == float(np.mean(np.abs(x - y) ** 2.0) ** 0.5)
+
+
 def test_w1d_errors():
     with pytest.raises(DomainError):
         w1d_empirical([], [1.0], 2.0)

@@ -19,8 +19,10 @@ from msw import (
     shatter_count,
     vc_bound,
 )
+from msw import ratio
+from msw.harness import ExperimentConfig, _streams
 from msw.maxsliced import _normalize_rows, grid_directions
-from msw.ratio import _projected_law, _RatioObjective
+from msw.ratio import SWEEP_MAX_N, _projected_law, _RatioObjective
 
 FAST = OptimizerOpts(restarts=6, max_iters=50)
 
@@ -164,6 +166,128 @@ def test_ratio_sup_is_certified_and_beats_the_seed_grid():
         res = ratio_sup(xs, spec, FAST, RngStream(seed, 2))
         assert res.value == _scalar_value(xs, spec, res.arg_theta)
         assert res.value >= max(_scalar_value(xs, spec, u) for u in grid) - 1e-12
+
+
+IDENTITY = Gaussian(np.zeros(2), np.eye(2))
+CORRELATED = Gaussian(np.array([0.5, -1.0]), np.array([[2.0, 0.8], [0.8, 1.0]]))
+
+
+def _tie_directions(xs, spec):
+    """Every theta at which two whitened points w = L^-1 (x - mean) tie, both
+    antipodes, and theta at +-w_i, with the axes for a point at the mean."""
+    chol = np.linalg.cholesky(spec.cov)
+    w = np.linalg.solve(chol, (xs - spec.mean).T).T
+    i, j = np.triu_indices(len(w), 1)
+    d = w[j] - w[i]
+    d = d[np.any(d != 0.0, axis=1)]
+    perp = np.column_stack([-d[:, 1], d[:, 0]])
+    u = np.vstack([perp, -perp, w, -w, np.eye(2), -np.eye(2)])
+    u = u[np.any(u != 0.0, axis=1)]
+    u /= np.max(np.abs(u), axis=1, keepdims=True)  # so that no squared norm overflows
+    return _normalize_rows(np.linalg.solve(chol.T, u.T).T)
+
+
+def _oracle(xs, spec):
+    """The statistic's sup over directions: its largest value over
+    _tie_directions, through the batched objective, which matches
+    ratio_fixed_direction to 1e-12 (test above)."""
+    objective = _RatioObjective(np.asarray(xs, dtype=np.float64), spec)
+    thetas = _tie_directions(xs, spec)
+    return max(float(np.max(objective.value(c))) for c in np.array_split(thetas, len(thetas) // 2000 + 1))
+
+
+def _exactness_cases():
+    for k in range(6):
+        spec = (IDENTITY, CORRELATED)[k % 2]
+        n = (7, 40, 100)[k // 2]
+        yield f"{('identity', 'correlated')[k % 2]}-{n}", spec, [sample(spec, n, RngStream(60 + k, 0))], None
+        # rounded: duplicates, three or more collinear points, and pairs with
+        # equal whitened first coordinates, which cross at angle 0
+        yield f"rounded-{('identity', 'correlated')[k % 2]}-{n}", spec, [np.round(sample(spec, n, RngStream(70 + k, 0)), 1)], None
+    # criterion 9's setup: the four trials of its 50 where the search fell
+    # more than 1e-6 short of the sup, with the harness's streams
+    cfg = ExperimentConfig("ratio_exceedance", IDENTITY, n_grid=(200,), mc_runs=50, master_seed=900,
+                           optimizer=OptimizerOpts(restarts=6, max_iters=60))
+    streams = [_streams(cfg, 0, t) for t in (27, 30, 31, 44)]
+    yield "criterion-9", IDENTITY, [sample(IDENTITY, 200, s[0]) for s in streams], [(cfg.optimizer, s[2]) for s in streams]
+
+
+@pytest.mark.parametrize("spec,samples,search", [c[1:] for c in _exactness_cases()],
+                         ids=[c[0] for c in _exactness_cases()])
+def test_ratio_sup_is_exact_at_d2(spec, samples, search):
+    for k, xs in enumerate(samples):
+        res = ratio_sup(xs, spec, *(search[k] if search else ()))
+        assert res.value == pytest.approx(_oracle(xs, spec), rel=1e-12, abs=0.0)
+
+
+def test_rounded_samples_bring_the_ties_they_are_meant_to():
+    for name, spec, (xs, *_), _ in _exactness_cases():
+        if not name.startswith("rounded") or len(xs) < 100:
+            continue
+        w = np.linalg.solve(np.linalg.cholesky(spec.cov), (xs - spec.mean).T).T
+        distinct, counts = np.unique(w, axis=0, return_counts=True)
+        assert counts.max() >= 2  # duplicates
+        assert np.unique(distinct[:, 0], return_counts=True)[1].max() >= 3  # on one vertical line
+
+
+_EDGE_CASES = {
+    "one_point": lambda spec: [[0.3, -0.2]],
+    "two_points": lambda spec: [[0.3, -0.2], [1.0, 0.5]],
+    "all_equal": lambda spec: [[0.7, 0.1]] * 5,
+    "one_line": lambda spec: [[t, 2.0 * t - 1.0] for t in np.linspace(-1.0, 2.0, 7)],
+    "at_the_mean": lambda spec: [spec.mean, [1.0, 1.0], spec.mean, [-0.5, 0.2]],
+    # squared distances and cross products that underflow or overflow
+    "tiny": lambda spec: [spec.mean + [1e-170, 0.0], spec.mean + [0.0, 1e-170], [2.0, 0.1], [2.1, -0.3], [1.8, 0.5]],
+    "huge": lambda spec: [[1e200, 5e199], [-3e199, 2e200], [7e199, -1e200], [-8e199, -6e199]],
+    # the sup is the top of the duplicates' group, at their stationary direction
+    "duplicates": lambda spec: [spec.mean + [0.0, -2.0]] * 3 + [spec.mean + [0.0, 3.0]],
+}
+
+
+@pytest.mark.parametrize("spec", [IDENTITY, CORRELATED], ids=["identity", "correlated"])
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+def test_the_sweep_handles_degenerate_samples(case, spec):
+    xs = np.array(_EDGE_CASES[case](spec), dtype=np.float64)
+    res = ratio_sup(xs, spec)
+    assert math.isfinite(res.value)
+    assert res.value == _scalar_value(xs, spec, res.arg_theta)
+    assert res.value == pytest.approx(_oracle(xs, spec), rel=1e-12, abs=0.0)
+
+
+def test_the_sweep_counts_ties_at_angle_0_by_their_sign():
+    # whitened first coordinates -0.0 and +0.0: j = (-0.0, -1) lies above
+    # i = (0.0, -2) on the vertical line, and dx = -0.0, not below zero
+    for w in ([[-0.0, -1.0], [0.0, -2.0], [0.5, 0.3], [-0.4, 0.8]],
+              [[-0.0, -1.0], [0.0, -2.0], [0.0, 0.5], [-0.0, -0.1], [0.3, 0.3]]):
+        w = np.array(w)
+        theta = ratio._sweep_direction(w)
+        value = ratio_fixed_direction(w, theta, gaussian_law(0.0, 1.0)).value
+        assert value == pytest.approx(_oracle(w, IDENTITY), rel=1e-12, abs=0.0)
+
+
+def test_the_sweep_runs_up_to_the_cap_and_the_search_beyond(monkeypatch):
+    calls = []
+
+    def spy(objective, pooled, *rest):
+        calls.append(pooled.shape)
+        return _run_search(objective, pooled, *rest)
+
+    _run_search = ratio._run_search
+    monkeypatch.setattr(ratio, "_run_search", spy)
+    xs = sample(IDENTITY, SWEEP_MAX_N + 1, RngStream(5, 0))
+    one = ratio_sup(xs[:-1], IDENTITY, OptimizerOpts(restarts=1, max_iters=1), RngStream(1))
+    default = ratio_sup(xs[:-1], IDENTITY)
+    assert one.value == default.value and np.array_equal(one.arg_theta, default.arg_theta)
+    assert calls == []
+    ratio_sup(xs, IDENTITY, FAST, RngStream(1))
+    assert calls == [(SWEEP_MAX_N + 1, 2)]
+    spec3 = Gaussian(np.zeros(3), np.eye(3))
+    ratio_sup(sample(spec3, 40, RngStream(5, 1)), spec3, FAST, RngStream(1))
+    assert calls[-1] == (40, 3)
+    # a singular covariance has no whitening
+    singular = Gaussian(np.zeros(2), np.ones((2, 2)))
+    ratio_sup(sample(singular, 40, RngStream(5, 2)), singular, FAST, RngStream(1))
+    assert calls[-1] == (40, 2)
 
 
 def test_ratio_sup_requires_gaussian():
