@@ -212,8 +212,11 @@ def _exactness_cases():
     yield "criterion-9", IDENTITY, [sample(IDENTITY, 200, s[0]) for s in streams], [(cfg.optimizer, s[2]) for s in streams]
 
 
-@pytest.mark.parametrize("spec,samples,search", [c[1:] for c in _exactness_cases()],
-                         ids=[c[0] for c in _exactness_cases()])
+_EXACTNESS_CASES = list(_exactness_cases())
+
+
+@pytest.mark.parametrize("spec,samples,search", [c[1:] for c in _EXACTNESS_CASES],
+                         ids=[c[0] for c in _EXACTNESS_CASES])
 def test_ratio_sup_is_exact_at_d2(spec, samples, search):
     for k, xs in enumerate(samples):
         res = ratio_sup(xs, spec, *(search[k] if search else ()))
@@ -221,7 +224,7 @@ def test_ratio_sup_is_exact_at_d2(spec, samples, search):
 
 
 def test_rounded_samples_bring_the_ties_they_are_meant_to():
-    for name, spec, (xs, *_), _ in _exactness_cases():
+    for name, spec, (xs, *_), _ in _EXACTNESS_CASES:
         if not name.startswith("rounded") or len(xs) < 100:
             continue
         w = np.linalg.solve(np.linalg.cholesky(spec.cov), (xs - spec.mean).T).T
@@ -266,13 +269,12 @@ def test_the_sweep_counts_ties_at_angle_0_by_their_sign():
 
 
 def test_the_sweep_runs_up_to_the_cap_and_the_search_beyond(monkeypatch):
-    calls = []
+    calls, search = [], ratio._run_search
 
     def spy(objective, pooled, *rest):
         calls.append(pooled.shape)
-        return _run_search(objective, pooled, *rest)
+        return search(objective, pooled, *rest)
 
-    _run_search = ratio._run_search
     monkeypatch.setattr(ratio, "_run_search", spy)
     xs = sample(IDENTITY, SWEEP_MAX_N + 1, RngStream(5, 0))
     one = ratio_sup(xs[:-1], IDENTITY, OptimizerOpts(restarts=1, max_iters=1), RngStream(1))
