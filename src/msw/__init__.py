@@ -10,9 +10,8 @@ import importlib
 
 # submodule -> the public names it defines; the submodules are public names too
 _EXPORTS = {
-    "bounds": ("BoundParams", "concentration_bound", "expectation_bound_exp_decay",
-               "expectation_bound_finite", "expectation_bound_poly_decay", "ratio_tail_bound",
-               "vc_bound"),
+    "bounds": ("BoundParams", "expectation_bound_exp_decay", "expectation_bound_finite",
+               "expectation_bound_poly_decay", "ratio_tail_bound", "vc_bound"),
     "errors": ("ConfigError", "DomainError", "MswError", "NumericError", "ScaleError",
                "SpecError", "UnsupportedDimensionError"),
     "harness": ("ExperimentConfig", "Overlay", "RateCurve", "RatioTable", "emit",

@@ -1,8 +1,9 @@
-"""Evaluators for the theoretical rate, concentration and VC bounds.
+"""Evaluators for the theoretical rate bounds, the ratio statistic's tail bound
+and the VC shatter bound.
 
-Absolute constants that the theory leaves unspecified enter as the user
-parameters c_user and C_user (default 1), so curves produced with the
-defaults are shape-only overlays.
+The absolute constant that the expectation bounds leave unspecified enters as
+the user parameter C_user (default 1), so curves produced with the default are
+shape-only overlays.
 
 Every expectation_bound_* function bounds E[W̄_p^p(mu, mu_n)], the p-th power
 of the max-sliced distance between a measure and its empirical measure, at
@@ -20,10 +21,7 @@ formula here has been checked against the paper's theorem statements.
 - expectation_bound_finite: reconstructed from the abstract; theorem numbers unchecked.
 - expectation_bound_exp_decay: reconstructed from the abstract; theorem numbers unchecked.
 - expectation_bound_poly_decay: reconstructed from the abstract; theorem numbers unchecked.
-- concentration_bound "finite", "exp_decay" and "poly_decay": reconstructed from
-  the abstract; theorem numbers unchecked.
-- concentration_bound "ratio_finite" (ratio_tail_bound), "ratio_exp" and
-  "ratio_poly": reconstructed from the abstract; theorem numbers unchecked.
+- ratio_tail_bound: reconstructed from the abstract; theorem numbers unchecked.
 - vc_bound: the polynomial bound on the labelings of n points by halfspaces
   in dimension d, whose VC dimension is d + 1.
 """
@@ -35,14 +33,12 @@ from typing import NamedTuple
 
 from .errors import DomainError, check_order
 
-CONCENTRATION_KINDS = ("finite", "exp_decay", "poly_decay", "ratio_finite", "ratio_exp", "ratio_poly")
-
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Shared parameters of the bound formulas.
+    """Parameters of the expectation bounds.
 
-    d is required by the finite-dimensional bounds, gamma by the decay-based
+    d is required by the finite-dimensional bound, gamma by the decay-based
     ones.
     """
 
@@ -50,7 +46,6 @@ class BoundParams:
     s: float
     d: int | None = None
     gamma: float | None = None
-    c_user: float = 1.0
     C_user: float = 1.0
 
     def __post_init__(self):
@@ -61,8 +56,8 @@ class BoundParams:
             raise DomainError(f"dimension must be >= 1, got {self.d}")
         if self.gamma is not None and not self.gamma > 0.0:
             raise DomainError(f"decay exponent must be positive, got {self.gamma}")
-        if not (self.c_user > 0.0 and self.C_user > 0.0):
-            raise DomainError("constants c_user and C_user must be positive")
+        if not 0.0 < self.C_user < math.inf:
+            raise DomainError(f"constant C_user must be positive and finite, got {self.C_user}")
 
     def _need_d(self) -> int:
         if self.d is None:
@@ -139,42 +134,4 @@ def ratio_tail_bound(n: int, d: int, eps: float) -> BoundValue:
     if not eps >= 0.0:
         raise DomainError(f"threshold must be nonnegative, got {eps}")
     raw = 8.0 * _exp((d + 1) * _log2n1(n) - n * eps * eps / 4.0)
-    return BoundValue(raw=raw, clipped=min(1.0, raw))
-
-
-def concentration_bound(kind: str, params: BoundParams, n: int, eps: float) -> BoundValue:
-    """Right-hand side of the selected concentration inequality at (n, eps).
-
-    Returns the raw value alongside a copy clipped to <= 1 for probability
-    reporting. kind is one of CONCENTRATION_KINDS.
-    """
-    if not eps > 0.0:
-        raise DomainError(f"threshold must be positive, got {eps}")
-    ln = _log2n1(n)
-    c, big_c = params.c_user, params.C_user
-    if kind == "finite":
-        d = params._need_d()
-        raw = _exp(-n * eps * eps / 2.0) + 8.0 * _exp(ln * (2.0 * (d + 1) - n * eps * eps / 64.0))
-    elif kind == "exp_decay":
-        gamma = params._need_gamma()
-        raw = big_c * _exp(c * ln ** (1.0 + 1.0 / gamma) - n * eps * eps / 64.0)
-        raw += big_c / (n * eps * eps) ** (params.s / (2.0 * params.p))
-    elif kind == "poly_decay":
-        gamma = params._need_gamma()
-        raw = big_c * _exp(
-            4.0 * n ** (1.0 / (1.0 + params.p * gamma)) * ln - n * eps * eps / 64.0
-        )
-        raw += big_c * eps ** (-params.s / params.p) * n ** (
-            -params.s * gamma / (2.0 * (1.0 + params.p * gamma))
-        )
-    elif kind == "ratio_finite":
-        return ratio_tail_bound(n, params._need_d(), eps)
-    elif kind == "ratio_exp":
-        gamma = params._need_gamma()
-        raw = big_c * _exp(big_c * ln ** (1.0 + 1.0 / gamma) - c * n * eps * eps)
-    elif kind == "ratio_poly":
-        gamma = params._need_gamma()
-        raw = _exp(big_c * ln * n ** (1.0 / gamma) - c * n * eps * eps / 64.0)
-    else:
-        raise DomainError(f"unknown bound kind {kind!r}; expected one of {CONCENTRATION_KINDS}")
     return BoundValue(raw=raw, clipped=min(1.0, raw))

@@ -14,7 +14,7 @@ import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import KW_ONLY, asdict, dataclass
+from dataclasses import KW_ONLY, asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,11 +53,12 @@ _OVERLAY_FORMULAS = {
 class Overlay:
     """An expectation-bound curve to emit next to the empirical means.
 
-    The formula's order p and dimension d are the experiment's, and s defaults
-    to 2p + 1: ExperimentConfig builds the formula's BoundParams from them and
-    checks the kind and the inputs the formula needs. The formula bounds
-    E[W̄_p^p]. The means estimate E[W̄_p], so the emitted column is its p-th
-    root, which bounds E[W̄_p] by Jensen's inequality.
+    The formula's order p and dimension d are the experiment's; each rkhs_rate
+    curve takes its own truncation level as d. ExperimentConfig sets an unset s
+    to 2p + 1, so the record holds the s that the formula reads, and checks the
+    kind and the inputs the formula needs. The formula bounds E[W̄_p^p]. The
+    means estimate E[W̄_p], so the emitted column is its p-th root, which
+    bounds E[W̄_p] by Jensen's inequality.
     """
 
     kind: str
@@ -141,15 +142,16 @@ class ExperimentConfig:
                 )
             if kind == "finite" and self.overlay.gamma is not None:
                 raise ConfigError("overlay 'finite' reads no gamma")
+            if self.overlay.s is None:
+                object.__setattr__(self, "overlay", replace(self.overlay, s=2 * self.p + 1))
             try:
-                _OVERLAY_FORMULAS[kind](self._bound_params(), 1)
+                _OVERLAY_FORMULAS[kind](self._bound_params(self.spec.dim), 1)
             except DomainError as exc:
                 raise ConfigError(f"overlay {kind!r}: {exc}") from exc
 
-    def _bound_params(self) -> BoundParams:
-        """The overlay formula's inputs, at the experiment's p and dimension."""
-        s = 2 * self.p + 1 if self.overlay.s is None else self.overlay.s
-        return BoundParams(self.p, s, self.spec.dim, self.overlay.gamma, C_user=self.overlay.C_user)
+    def _bound_params(self, d: int) -> BoundParams:
+        """The overlay formula's inputs, at the experiment's p and dimension d."""
+        return BoundParams(self.p, self.overlay.s, d, self.overlay.gamma, self.overlay.C_user)
 
 
 class _Table:
@@ -235,7 +237,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     if config.eps_grid is not None:
         out["eps_grid"] = list(config.eps_grid)
     if config.overlay is not None:
-        out["overlay"] = {"kind": config.overlay.kind, **asdict(config._bound_params())}
+        out["overlay"] = asdict(config.overlay)
     return out
 
 
@@ -345,7 +347,9 @@ def _run_items(worker, config: ExperimentConfig, threads: int):
     return values, np.array([w for _, w in results]).reshape(shape), threads
 
 
-def _aggregate(config: ExperimentConfig, vals: np.ndarray, walls: np.ndarray, workers: int) -> RateCurve:
+def _aggregate(config: ExperimentConfig, d: int, vals: np.ndarray, walls: np.ndarray,
+               workers: int) -> RateCurve:
+    """The curve of the values vals, shape (len(n_grid), mc_runs), at dimension d."""
     bad = [n for n, row in zip(config.n_grid, vals) if not np.isfinite(row).all()]
     if bad:
         raise NumericError(f"a trial at n = {bad[0]} gave a non-finite statistic")
@@ -356,7 +360,7 @@ def _aggregate(config: ExperimentConfig, vals: np.ndarray, walls: np.ndarray, wo
         stderrs = np.zeros(n_count)
     bound = None
     if config.overlay is not None:
-        formula, params = _OVERLAY_FORMULAS[config.overlay.kind], config._bound_params()
+        formula, params = _OVERLAY_FORMULAS[config.overlay.kind], config._bound_params(d)
         bound = np.array([formula(params, n) ** (1.0 / config.p) for n in config.n_grid])
     return RateCurve(
         n=np.array(config.n_grid, dtype=np.int64),
@@ -380,8 +384,8 @@ def run_rate_experiment(config: ExperimentConfig, threads: int = 1):
         raise ConfigError(f"run_rate_experiment cannot run {config.experiment!r}")
     values, walls, workers = _run_items(_rate_trial, config, threads)
     if config.experiment == "rkhs_rate":
-        return {dt: _aggregate(config, v, walls, workers) for dt, v in zip(config.d_test_list, values)}
-    return _aggregate(config, values[0], walls, workers)
+        return {dt: _aggregate(config, dt, v, walls, workers) for dt, v in zip(config.d_test_list, values)}
+    return _aggregate(config, config.spec.dim, values[0], walls, workers)
 
 
 def run_ratio_experiment(config: ExperimentConfig, threads: int = 1) -> RatioTable:

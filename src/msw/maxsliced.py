@@ -10,7 +10,9 @@ certified lower bounds: the distance is recomputed at the returned direction.
 _run_search takes any objective with this three-member protocol: value and
 value_and_grad, batched over the rows of a direction matrix, and certify, the
 value recomputed from scratch at one direction. msw.ratio runs the ratio
-statistic through the same search.
+statistic through the same search at d >= 3, and at d = 2 above
+ratio.SWEEP_MAX_N points or for a singular covariance; otherwise an exact
+angular sweep (d = 2) or a check of both signs (d = 1) replaces it.
 """
 from __future__ import annotations
 

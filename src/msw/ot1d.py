@@ -144,16 +144,13 @@ def project(samples, theta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnalyticCdf1d:
-    """The one-dimensional law N(mean, sd^2), with its cdf and quantile function."""
+    """The one-dimensional law N(mean, sd^2), with its cdf."""
 
     mean: float
     sd: float
 
     def cdf(self, t) -> np.ndarray:
         return _ndtr((np.asarray(t, dtype=np.float64) - self.mean) / self.sd)
-
-    def quantile(self, u) -> np.ndarray:
-        return self.mean + self.sd * _ndtri(u)
 
 
 def gaussian_law(mean: float, var: float) -> AnalyticCdf1d:

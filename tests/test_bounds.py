@@ -6,7 +6,6 @@ import pytest
 from msw import (
     BoundParams,
     DomainError,
-    concentration_bound,
     expectation_bound_exp_decay,
     expectation_bound_finite,
     expectation_bound_poly_decay,
@@ -79,53 +78,21 @@ def test_poly_decay_gamma_limit_and_domain():
         expectation_bound_poly_decay(BoundParams(p=1.0, s=3.0, gamma=0.9), 10)
 
 
-def test_concentration_finite_is_negligible_at_large_n():
-    params = BoundParams(p=2.0, s=5.0, d=2)
-    val = concentration_bound("finite", params, 10_000, 0.5)
-    assert val.raw < 1e-100
-    assert val.clipped == val.raw
-
-
-def test_concentration_vacuous_at_tiny_eps():
-    params = BoundParams(p=2.0, s=5.0, d=2, gamma=1.0)
-    for kind in ("finite", "exp_decay", "poly_decay", "ratio_finite", "ratio_exp", "ratio_poly"):
-        val = concentration_bound(kind, params, 100, 1e-9)
-        assert val.raw >= 1.0
-        assert val.clipped == 1.0
-
-
-def test_concentration_ratio_finite_delegates():
-    params = BoundParams(p=2.0, s=5.0, d=3)
-    for n, eps in ((10, 0.5), (500, 0.3), (10_000, 0.1)):
-        assert concentration_bound("ratio_finite", params, n, eps) == ratio_tail_bound(n, 3, eps)
-
-
-def test_concentration_unknown_kind():
-    with pytest.raises(DomainError):
-        concentration_bound("bogus", BoundParams(p=2.0, s=5.0, d=2), 10, 0.5)
-
-
 def test_user_constants_scale_the_bounds():
     base = BoundParams(p=2.0, s=6.0, gamma=1.0)
     double = BoundParams(p=2.0, s=6.0, gamma=1.0, C_user=2.0)
     assert expectation_bound_exp_decay(double, 100) == pytest.approx(
         2.0 * expectation_bound_exp_decay(base, 100), rel=1e-12
     )
-    b1 = concentration_bound("ratio_exp", base, 100, 0.9)
-    b2 = concentration_bound("ratio_exp", BoundParams(p=2.0, s=6.0, gamma=1.0, c_user=2.0), 100, 0.9)
-    assert b2.raw < b1.raw  # larger small-c tightens the exponent
 
 
 def test_bounds_monotone_in_eps_and_n():
-    params = BoundParams(p=2.0, s=5.0, d=2, gamma=1.0)
-    eps_grid = np.linspace(0.3, 2.0, 12)
-    for kind in ("finite", "exp_decay", "poly_decay", "ratio_finite", "ratio_exp", "ratio_poly"):
-        vals = [concentration_bound(kind, params, 400, float(e)).raw for e in eps_grid]
-        assert all(a >= b - 1e-300 for a, b in zip(vals, vals[1:]))
-    # beyond the vacuous regime the bounds also shrink with n
-    for kind in ("finite", "ratio_finite"):
-        vals = [concentration_bound(kind, params, n, 1.0).raw for n in (200, 400, 800, 1600)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
+    # the ratio statistic's tail bound falls with eps, and beyond the vacuous
+    # regime with n too
+    vals = [ratio_tail_bound(400, 2, float(e)).raw for e in np.linspace(0.3, 2.0, 12)]
+    assert all(a >= b - 1e-300 for a, b in zip(vals, vals[1:]))
+    vals = [ratio_tail_bound(n, 2, 1.0).raw for n in (200, 400, 800, 1600)]
+    assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_finite_rate_beats_parametric_up_to_logs():
@@ -146,9 +113,8 @@ def test_param_validation():
         BoundParams(p=0.5, s=3.0)
     with pytest.raises(DomainError):
         BoundParams(p=2.0, s=5.0, gamma=-1.0)
-    with pytest.raises(DomainError):
-        BoundParams(p=2.0, s=5.0, c_user=0.0)
+    for C in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="C_user must be positive and finite"):
+            BoundParams(p=2.0, s=5.0, C_user=C)
     with pytest.raises(DomainError):
         expectation_bound_finite(BoundParams(p=2.0, s=5.0), 10)  # d missing
-    with pytest.raises(DomainError):
-        concentration_bound("finite", BoundParams(p=2.0, s=5.0, d=2), 10, 0.0)

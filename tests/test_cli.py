@@ -210,7 +210,8 @@ def test_exit_codes(tmp_path, capsys):
     # malformed covariance numbers, overlays, dimensions and empty values -> config error,
     # before any trial runs
     for line in ("covariance = equicorrelated(abc)", "covariance = diag(1, x)",
-                 "overlay_kind = bogus", "overlay_kind = exp_decay", "d = -1", "mean ="):
+                 "overlay_kind = bogus", "overlay_kind = exp_decay",
+                 "overlay_kind = finite\noverlay_C = inf", "d = -1", "mean ="):
         bad_cfg = tmp_path / "malformed.cfg"
         bad_cfg.write_text(good.read_text() + line + "\n")
         out = tmp_path / "malformed.csv"
@@ -400,7 +401,9 @@ def test_a_value_that_nothing_reads_exits_2(tmp_path, capsys, text):
 
 def test_an_overlay_takes_p_and_d_from_its_experiment():
     base = {"experiment": "rate_vs_truth", "d": 3, "p": 1.5, "overlay_kind": "finite"}
-    fixed = {"kind": "finite", "p": 1.5, "d": 3, "gamma": None, "c_user": 1.0}
+    # the record holds what the overlay sets, with s resolved; p and d are the
+    # experiment's and recorded there once
+    fixed = {"kind": "finite", "gamma": None}
     config = config_from_mapping(base)
     assert config_to_dict(config)["overlay"] == {**fixed, "s": 4.0, "C_user": 1.0}
     config = config_from_mapping({**base, "overlay_s": 9, "overlay_C": 2})
@@ -503,7 +506,7 @@ def test_the_rkhs_spec_is_the_top_level_and_a_ratio_config_has_no_order():
      "fc20a1957ef040505df9192fa8cfeba406c5a2102b4ba72b36344c1b49449160"),
     ({"experiment": "rate_two_sample", "distribution": "pareto_product", "shape": 8, "d": 2,
       "n_grid": [8, 16], "overlay_kind": "finite", "overlay_s": 6},
-     "a57c9d265618b3b4b4799cb6a55ffc66f16c78d0ef3d6d544cb5b4199f27c5e1"),
+     "3f16270e6ef462b723cdf5e074dafee60a5f25cd7cbf37bda3e59231dd5a8fbe"),
     ({**_RKHS_KEYS, "d_test_list": [3, 5]},
      "93685e0197dd316b835ccef30f32af36db484bdc030898de8efa9995113517a3"),
     ({"experiment": "ratio_exceedance", "d": 2, "n_grid": [20], "mc_runs": 2},

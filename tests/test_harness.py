@@ -200,6 +200,19 @@ def test_rkhs_rate_returns_curve_per_truncation():
     assert np.allclose(curves[10].mean, curves[20].mean, rtol=0.1)
 
 
+def test_each_truncation_level_takes_its_own_overlay_dimension():
+    spec = RkhsPushforward(KernelSpec(4.0, 1.0), 1.0, 6)
+    cfg = ExperimentConfig("rkhs_rate", spec, n_grid=(8, 16, 32), mc_runs=1, master_seed=2,
+                           optimizer=TINY_OPT, d_test_list=(2, 6), overlay=Overlay("finite"))
+    curves = run_rate_experiment(cfg)
+    for d, curve in curves.items():
+        params = BoundParams(p=2.0, s=5.0, d=d)
+        assert curve.bound.tolist() == [expectation_bound_finite(params, n) ** (1 / 2.0)
+                                        for n in (8, 16, 32)]
+        assert "d" not in curve.meta["config"]["overlay"]
+    assert not np.array_equal(curves[2].bound, curves[6].bound)
+
+
 @pytest.mark.slow
 def test_vs_truth_means_decrease_monotonically():
     cfg = ExperimentConfig("rate_vs_truth", GAUSS2, n_grid=(100, 200, 400, 800),
@@ -268,6 +281,8 @@ def test_config_rejects_a_value_that_nothing_reads():
         ("rate_two_sample", GAUSS2, {"overlay": Overlay("bogus")}, "unknown overlay kind"),
         ("rate_two_sample", GAUSS2, {"overlay": Overlay("finite", s=4.0)}, "must exceed 2p"),
         ("rate_two_sample", GAUSS2, {"overlay": Overlay("poly_decay")}, "decay exponent gamma"),
+        ("rate_two_sample", GAUSS2, {"overlay": Overlay("finite", C_user=math.inf)},
+         "C_user must be positive and finite"),
     ):
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig(experiment, spec, **kwargs)
@@ -285,9 +300,7 @@ def test_the_overlay_reads_the_experiments_order_and_dimension():
     expected = [expectation_bound_finite(params, n) ** (1 / 1.5) for n in (8, 16)]
     curve = run_rate_experiment(cfg)
     assert curve.bound.tolist() == expected
-    assert curve.meta["config"]["overlay"] == {
-        "kind": "finite", "p": 1.5, "s": 4.0, "d": 3, "gamma": None, "c_user": 1.0, "C_user": 1.0,
-    }
+    assert curve.meta["config"]["overlay"] == {"kind": "finite", "s": 4.0, "gamma": None, "C_user": 1.0}
 
 
 def test_ratio_takes_no_order_and_rkhs_samples_the_spec_it_records():

@@ -121,7 +121,7 @@ PUBLIC_NAMES = [
     "OptimizerOpts", "Overlay", "ParetoProduct", "RateCurve", "RatioStatResult", "RatioTable",
     "RkhsPushforward", "RngStream", "ScaleError", "SpecError", "SpectrumReport",
     "UnsupportedDimensionError", "bounds", "check_assumptions", "check_spectrum",
-    "concentration_bound", "eigenfunction", "eigenvalue", "eigenvalue_bounds", "eigenvalues",
+    "eigenfunction", "eigenvalue", "eigenvalue_bounds", "eigenvalues",
     "emit", "errors", "expectation_bound_exp_decay",
     "expectation_bound_finite", "expectation_bound_poly_decay", "feature_coords",
     "fit_loglog_slope", "gaussian_law", "harness", "load_rate_curve", "maxsliced", "measures",
@@ -243,7 +243,6 @@ spec = Gaussian(np.zeros(2), np.eye(2))
 xs = rng.standard_normal((20, 2))
 law = gaussian_law(0.5, 2.0)
 calls = {
-    "quantile": lambda: float(law.quantile(np.array([0.3]))[0]),
     "vs_analytic_p2": lambda: msw_vs_analytic(xs, spec, 2.0, rng=RngStream(1, 0)).value,
     "vs_analytic_p3": lambda: msw_vs_analytic(xs, spec, 3.0, rng=RngStream(1, 1)).value,
     "cdf": lambda: float(law.cdf(np.array([0.3]))[0]),
@@ -260,11 +259,10 @@ print(json.dumps(out))
 
 def test_every_lazy_scipy_site_runs_in_a_fresh_interpreter(tmp_path):
     # each entry: (returned a finite value, scipy.special loaded after the call)
-    order = ["quantile", "vs_analytic_p2", "vs_analytic_p3", "cdf", "wasserstein_full"]
+    order = ["vs_analytic_p2", "vs_analytic_p3", "cdf", "wasserstein_full"]
     out = run_fresh(f"ORDER = {order!r}\n{SITES}", tmp_path)
     assert out == {
         "gaussian_law": [True, False],
-        "quantile": [True, False],
         "vs_analytic_p2": [True, False],
         "vs_analytic_p3": [True, False],
         "cdf": [True, True],
