@@ -33,3 +33,10 @@ def check_order(p, error=DomainError) -> None:
     """Raise error unless the order p is finite and at least 1."""
     if not 1.0 <= p < float("inf"):
         raise error(f"order p must be finite and >= 1, got {p}")
+
+
+def check_vs_truth_order(p, error=DomainError) -> None:
+    """Raise error unless p is 2, the one order of msw's distance to a Gaussian law."""
+    check_order(p, error)
+    if p != 2.0:
+        raise error(f"the distance to a Gaussian law is computed at p = 2 only, got {p}")

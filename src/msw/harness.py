@@ -29,7 +29,7 @@ from .bounds import (
 # the sampler and the searches are read from their modules at each call, for
 # the reason given in maxsliced.py
 from . import maxsliced, measures, ratio
-from .errors import ConfigError, DomainError, NumericError, check_order
+from .errors import ConfigError, DomainError, NumericError, check_order, check_vs_truth_order
 from .maxsliced import OptimizerOpts
 from .measures import DistributionSpec, Gaussian, ParetoProduct, RkhsPushforward, RngStream
 
@@ -72,7 +72,8 @@ class Overlay:
 class ExperimentConfig:
     """One seeded Monte Carlo experiment: its law, sample sizes, trials and search.
 
-    p is the order of the rate experiments' distance, 2.0 when unset; the
+    p is the order of the rate experiments' distance, 2.0 when unset;
+    rate_vs_truth computes its distance to the Gaussian law at p = 2 only. The
     ratio statistic has no order, so ratio_exceedance takes no p and records
     it as None. rkhs_rate samples its spec and slices each draw to the
     truncation levels of d_test_list, whose largest level must be the spec's
@@ -107,7 +108,8 @@ class ExperimentConfig:
                 raise ConfigError("experiment 'ratio_exceedance' reads no p")
         else:
             object.__setattr__(self, "p", 2.0 if self.p is None else self.p)
-            check_order(self.p, ConfigError)
+            check = check_vs_truth_order if self.experiment == "rate_vs_truth" else check_order
+            check(self.p, ConfigError)
         if self.experiment in ("rate_vs_truth", "ratio_exceedance") and not isinstance(self.spec, Gaussian):
             raise ConfigError(f"experiment {self.experiment!r} requires a Gaussian spec")
         if self.experiment == "rkhs_rate":
@@ -222,6 +224,11 @@ def spec_to_dict(spec: DistributionSpec) -> dict:
     raise ConfigError(f"cannot serialize spec of type {type(spec).__name__}")
 
 
+def _strict_json(x):
+    """x, or "inf" for +inf, the one non-finite config value, which strict JSON cannot hold."""
+    return "inf" if x == math.inf else x
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
     out = {
         "experiment": config.experiment,
@@ -235,9 +242,9 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     if config.d_test_list is not None:
         out["d_test_list"] = list(config.d_test_list)
     if config.eps_grid is not None:
-        out["eps_grid"] = list(config.eps_grid)
+        out["eps_grid"] = [_strict_json(e) for e in config.eps_grid]
     if config.overlay is not None:
-        out["overlay"] = asdict(config.overlay)
+        out["overlay"] = {k: _strict_json(v) for k, v in asdict(config.overlay).items()}
     return out
 
 
@@ -271,7 +278,7 @@ def _meta(config: ExperimentConfig, workers: int) -> dict:
     content_hash covers the config only, so it is the same for any worker
     count; the statistics are bit-identical only for fixed library versions.
     """
-    blob = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"), allow_nan=False)
     return {
         "config": config_to_dict(config),
         "master_seed": config.master_seed,
@@ -463,10 +470,8 @@ def emit(obj, format: str, path) -> None:
                 for row in rows
             ]
             path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8", newline="\n")
-        meta_path = path.with_suffix(".meta.json")
-        meta_path.write_text(
-            json.dumps(obj.meta, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-        )
+        meta = json.dumps(obj.meta, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        path.with_suffix(".meta.json").write_text(meta, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc
 

@@ -25,18 +25,15 @@ import numpy as np
 # there (a test's monkeypatch, perfbench's tracer) is seen here even when this
 # module is first imported after the rebinding
 from . import ot1d
-from .errors import DomainError, ScaleError, SpecError, UnsupportedDimensionError, check_order
+from .errors import (DomainError, ScaleError, SpecError, UnsupportedDimensionError, check_order,
+                     check_vs_truth_order)
 from .measures import Gaussian, RngStream, as_samples
-from .ot1d import _normal_quantile_blocks, _projected_law, project, quantile_blocks
+from .ot1d import AnalyticCdf1d, _normal_quantile_blocks, project, quantile_blocks
 
 # direction grids used only to seed the local search in low dimension
 _SEED_GRID = {2: 256, 3: 1024}
 # directions per value call in _value_on_grid
 _GRID_BLOCK = 64
-# quadrature order for the analytic objective during iteration, used only at
-# p != 2 (p = 2 has a closed form); the final certificate is recomputed by
-# w1d_vs_cdf at its 32 nodes
-_OPT_NODES = 8
 # each start's first step and its growth after a rise (it halves after a
 # fall); a start stops after _PATIENCE tries without a relative gain of _TOL
 _STEP0, _GROW, _PATIENCE, _TOL = 0.1, 1.5, 10, 1e-7
@@ -179,34 +176,26 @@ class _TwoSampleObjective:
 
 
 class _AnalyticObjective:
-    """theta -> W_p^p between projected samples and the projected Gaussian law.
+    """theta -> W_2^2 between projected samples and the projected Gaussian law.
 
-    At p = 2 the value is exact in closed form. With x~ the sample sorted
-    along theta, m = <theta, mean>, s^2 = theta^T Sigma theta, c_i = x~_i - m,
-    z_i = Phi^-1(i/n) and g_i = phi(z_{i-1}) - phi(z_i) = int Phi^-1 over block
-    i (phi(z_0) = phi(z_n) = 0),
+    The value is exact in closed form. With x~ the sample sorted along theta,
+    m = <theta, mean>, s^2 = theta^T Sigma theta, c_i = x~_i - m and g the
+    block integrals of Phi^-1 (ot1d._normal_quantile_blocks, built once per n
+    without scipy),
 
         W_2^2 = mean(c^2) - 2 s sum_i g_i c_i + s^2,
 
     so each direction costs one projection, one sort and one dot product with
-    g. Quadrature serves p != 2 only: each direction costs a weighted power
-    sum over the standard normal quantiles at _OPT_NODES Gauss-Legendre nodes
-    per block. g and the nodes' quantiles depend on n only;
-    ot1d._normal_quantile_blocks builds them once per n with ot1d._ndtri,
-    which matches scipy's ndtri bit for bit and loads no scipy.
+    g. certify is ot1d.w1d_vs_cdf, the same form at one direction.
 
     value sorts the values only; value_and_grad sorts with _argsort_columns,
     where tied projections take numpy's sort order. Any such order is an
     optimal coupling, so value never depends on it.
     """
 
-    def __init__(self, x: np.ndarray, spec: Gaussian, p: float):
-        self.x, self.p = x, p
-        self.mean, self.cov = spec.mean, spec.cov
-        if p == 2.0:
-            (self.g,) = _normal_quantile_blocks(x.shape[0], None)
-        else:
-            self.wq, self.z = _normal_quantile_blocks(x.shape[0], _OPT_NODES)
+    def __init__(self, x: np.ndarray, spec: Gaussian):
+        self.x, self.mean, self.cov = x, spec.mean, spec.cov
+        self.g = _normal_quantile_blocks(x.shape[0])
 
     def _scale(self, th: np.ndarray):
         """<theta, mean>, Sigma theta and the projected sd s, per row of th."""
@@ -215,56 +204,33 @@ class _AnalyticObjective:
         return th @ self.mean, sig_th, s
 
     def _closed_form(self, sx: np.ndarray, th: np.ndarray):
-        """p = 2: the exact W_2^2 per column of the sorted projections sx."""
+        """The exact W_2^2 per column of the sorted projections sx."""
         mth, sig_th, s = self._scale(th)
         c = sx - mth
         b = self.g @ c
         vals = np.maximum(np.mean(c * c, axis=0) - 2.0 * s * b + s * s, 0.0)
         return vals, c, b, sig_th, s
 
-    def _delta(self, sx: np.ndarray, th: np.ndarray):
-        """Sigma theta, the projected sd s, and sx minus the quantiles at the nodes."""
-        mth, sig_th, s = self._scale(th)
-        delta = sx[:, None, :] - mth[None, None, :] - s[None, None, :] * self.z[:, :, None]
-        return sig_th, s, delta
-
     def value(self, th: np.ndarray) -> np.ndarray:
-        sx = np.sort(self.x @ th.T, axis=0)
-        if self.p == 2.0:
-            return self._closed_form(sx, th)[0]
-        *_, delta = self._delta(sx, th)
-        return np.einsum("nk,nkr->r", self.wq, np.abs(delta) ** self.p)
+        return self._closed_form(np.sort(self.x @ th.T, axis=0), th)[0]
 
     def value_and_grad(self, th: np.ndarray):
         _, sx, fx = _argsort_columns(self.x @ th.T)
-        if self.p == 2.0:
-            vals, c, b, sig_th, s = self._closed_form(sx, th)
-            per_point = (2.0 / sx.shape[0]) * c - 2.0 * s * self.g[:, None]
-            total = per_point.sum(axis=0)
-            s_coef = 2.0 * (s - b)
-        else:
-            sig_th, s, delta = self._delta(sx, th)
-            absd = np.abs(delta)
-            vals = np.einsum("nk,nkr->r", self.wq, absd**self.p)
-            coef = self.p * self.wq[:, :, None] * np.sign(delta) * absd ** (self.p - 1.0)
-            per_point = coef.sum(axis=1)       # (n, R)
-            total = per_point.sum(axis=0)      # (R,)
-            s_coef = -np.einsum("nkr,nk->r", coef, self.z)
+        vals, c, b, sig_th, s = self._closed_form(sx, th)
+        per_point = (2.0 / sx.shape[0]) * c - 2.0 * s * self.g[:, None]
         ax = np.empty(per_point.shape)
         ax.ravel()[fx] = per_point
         grads = (
             ax.T @ self.x
-            - total[:, None] * self.mean[None, :]
-            + (s_coef / np.maximum(s, 1e-150))[:, None] * sig_th
+            - per_point.sum(axis=0)[:, None] * self.mean[None, :]
+            + (2.0 * (s - b) / np.maximum(s, 1e-150))[:, None] * sig_th
         )
         return vals, grads
 
     def certify(self, theta: np.ndarray) -> float:
-        if self.p == 2.0:
-            vals = self._closed_form(project(self.x, theta)[:, None], theta[None, :])[0]
-            return math.sqrt(vals[0])
-        # the objective's mean and cov are the spec's
-        return ot1d.w1d_vs_cdf(project(self.x, theta), _projected_law(self, theta), self.p)
+        # m and s from _scale, not _projected_law, so the certificate reads the search's bits
+        mth, _, s = self._scale(theta[None, :])
+        return ot1d.w1d_vs_cdf(project(self.x, theta), AnalyticCdf1d(float(mth[0]), float(s[0])), 2.0)
 
 
 def _value_on_grid(objective, dirs: np.ndarray) -> np.ndarray:
@@ -387,22 +353,21 @@ def msw_empirical(xs, ys, p: float, opts: OptimizerOpts | None = None,
 
 def msw_vs_analytic(xs, spec: Gaussian, p: float, opts: OptimizerOpts | None = None,
                     rng: RngStream | None = None) -> MswResult:
-    """Max-sliced W_p between an empirical measure and a Gaussian law.
+    """Max-sliced W_2 between an empirical measure and a Gaussian law.
 
     Only Gaussian specs are supported: the projected law along theta is then
-    N(<mean, theta>, theta^T Sigma theta) in closed form. At p = 2 the
-    distance along a direction is exact in closed form, in the search and in
-    the certificate; quadrature serves p != 2 only, and there the value at the
-    returned direction is recomputed with full quadrature order.
+    N(<mean, theta>, theta^T Sigma theta), and W_2 along a direction is exact
+    in closed form, in the search and in the certificate. p must be 2; any
+    other order is a DomainError.
     """
     if not isinstance(spec, Gaussian):
         raise SpecError("analytic max-sliced distance requires a Gaussian spec")
-    check_order(p)
+    check_vs_truth_order(p)
     x = as_samples(xs)
     if x.shape[1] != spec.dim:
         raise DomainError(f"dimension mismatch: samples {x.shape[1]}, spec {spec.dim}")
     d = x.shape[1]
-    objective = _AnalyticObjective(x, spec, p)
+    objective = _AnalyticObjective(x, spec)
     if d == 1:
         theta = np.array([1.0])
         return MswResult(objective.certify(theta), theta, restarts_used=0, iterations=0)

@@ -1,9 +1,9 @@
 """One-dimensional Wasserstein distances through quantile couplings.
 
-Between two empirical measures the distance is exact. The one law msw compares
-a sample with is N(mean, sd^2), a Gaussian spec projected along a direction;
-its quantiles at the quadrature nodes come from cached Phi^-1 tables, shared
-with the analytic objective of msw.maxsliced.
+Between two empirical measures the distance is exact at every order. The one
+law msw compares a sample with is N(mean, sd^2), a Gaussian spec projected
+along a direction; against it the distance is W_2, exact in closed form from
+cached block integrals of Phi^-1 that msw.maxsliced's analytic objective reads.
 """
 from __future__ import annotations
 
@@ -13,13 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericError, check_order
+from .errors import DomainError, NumericError, check_order, check_vs_truth_order
 from .measures import as_samples
-
-# Phi^-1 diverges at {0, 1}; integration endpoints are clipped here, where the
-# omitted mass is far below every stated tolerance
-_U_CLIP = 1e-12
-_VS_CDF_NODES = 32  # Gauss-Legendre nodes per quantile block in w1d_vs_cdf
 
 # cephes ndtri (S. Moshier, Methods and Programs for Mathematical Functions,
 # 1989), the algorithm of scipy's ndtri. P/Q are rational approximations,
@@ -215,45 +210,32 @@ def w1d_empirical(xs, ys, p: float) -> float:
 
 
 @lru_cache(maxsize=32)
-def _normal_quantile_blocks(n: int, nodes: int | None) -> tuple[np.ndarray, ...]:
-    """The standard normal quantile Phi^-1 over the n blocks ((i-1)/n, i/n].
-
-    With nodes None this is (g,), the block integrals g_i = phi(z_{i-1}) -
-    phi(z_i), z_i = Phi^-1(i/n) and phi(z_0) = phi(z_n) = 0. Otherwise it is
-    (weights, quantiles) at nodes Gauss-Legendre nodes per block, each of shape
-    (n, nodes); the block edges are clipped to [_U_CLIP, 1 - _U_CLIP], where
-    Phi^-1 is finite. Cached per (n, nodes) and read-only.
-    """
-    if nodes is None:
-        pdf = np.zeros(n + 1)
-        z = _ndtri(np.arange(1, n) / n)
-        pdf[1:-1] = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        tables = (pdf[:-1] - pdf[1:],)
-    else:
-        edges = np.clip(np.arange(n + 1) / n, _U_CLIP, 1.0 - _U_CLIP)
-        lo, hi = edges[:-1], edges[1:]
-        t, v = np.polynomial.legendre.leggauss(nodes)
-        u = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t[None, :]
-        tables = (0.5 * (hi - lo)[:, None] * v[None, :], _ndtri(u))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+def _normal_quantile_blocks(n: int) -> np.ndarray:
+    """The integrals g_i = phi(z_{i-1}) - phi(z_i) of the standard normal
+    quantile Phi^-1 over the n blocks ((i-1)/n, i/n], with z_i = Phi^-1(i/n)
+    and phi(z_0) = phi(z_n) = 0. Cached per n and read-only."""
+    pdf = np.zeros(n + 1)
+    z = _ndtri(np.arange(1, n) / n)
+    pdf[1:-1] = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    g = pdf[:-1] - pdf[1:]
+    g.flags.writeable = False
+    return g
 
 
 def w1d_vs_cdf(xs, law: AnalyticCdf1d, p: float) -> float:
-    """Order-p Wasserstein distance between an empirical measure and N(mean, sd^2).
+    """W_2 between an empirical measure and N(mean, sd^2), exact in closed form.
 
-    Integrates |x_(i) - mean - sd Phi^-1(u)|^p over each quantile block
-    ((i-1)/n, i/n] by Gauss-Legendre quadrature with _VS_CDF_NODES = 32 nodes,
-    the endpoints clipped away from {0, 1} where Phi^-1 diverges. The nodes,
-    weights and Phi^-1 values are the cached tables of _normal_quantile_blocks,
-    which the analytic objective reads too.
+    With c_i = x_(i) - mean and g the block integrals of _normal_quantile_blocks,
+
+        W_2^2 = mean(c^2) - 2 sd sum_i g_i c_i + sd^2.
+
+    This is the certificate of the analytic objective of msw.maxsliced, which
+    evaluates the same form per direction. p must be 2: msw computes no other
+    order against a Gaussian law, and any other p is a DomainError.
     """
-    check_order(p)
+    check_vs_truth_order(p)
     x = as_sorted_sample(xs)
-    w, z = _normal_quantile_blocks(x.size, _VS_CDF_NODES)
-    q = law.mean + law.sd * z
-    if not np.all(np.isfinite(q)):
+    if not (math.isfinite(law.mean) and math.isfinite(law.sd)):
         raise NumericError(f"quantiles of N({law.mean!r}, {law.sd!r}^2) are not finite")
-    diff = np.abs(x[:, None] - q)
-    return float(np.sum(w * diff**p) ** (1.0 / p))
+    c, s = x - law.mean, law.sd
+    return math.sqrt(max(np.mean(c * c) - 2.0 * s * (_normal_quantile_blocks(x.size) @ c) + s * s, 0.0))

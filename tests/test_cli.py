@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -340,17 +341,39 @@ def test_a_non_finite_distance_exits_3(tmp_path, capsys, xs, ys):
     assert not out.exists()
 
 
-def test_a_non_finite_statistic_exits_3(tmp_path, capsys):
+def test_a_non_finite_statistic_exits_3(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "huge_p.cfg"
     cfg.write_text(
-        "experiment = rate_vs_truth\ndistribution = gaussian\nd = 2\np = 1e308\n"
+        "experiment = rate_two_sample\ndistribution = gaussian\nd = 2\np = 1e308\n"
         "n_grid = 20, 40\nmc_runs = 3\nrestarts = 2\nmax_iters = 10\n"
     )
     out = tmp_path / "curve.csv"
     with np.errstate(all="ignore"):
         assert main(["rate", "--config", str(cfg), "--out", str(out)]) == 3
-    assert "non-finite statistic" in capsys.readouterr().err
+    assert "the order-1e+308 distance between the samples is not finite" in capsys.readouterr().err
     assert not out.exists() and not out.with_suffix(".meta.json").exists()
+    # a search that hands back a non-finite value is caught when the curve is built
+    from msw import maxsliced
+
+    monkeypatch.setattr(maxsliced, "msw_empirical", lambda *args: maxsliced.MswResult(
+        math.inf, np.array([1.0, 0.0]), restarts_used=1, iterations=0))
+    cfg.write_text(cfg.read_text().replace("p = 1e308", "p = 2"))
+    assert main(["rate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "a trial at n = 20 gave a non-finite statistic" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".meta.json").exists()
+
+
+def test_rate_vs_truth_at_p_not_2_exits_2(tmp_path, capsys):
+    cfg, out = tmp_path / "p3.cfg", tmp_path / "curve.csv"
+    cfg.write_text("experiment = rate_vs_truth\nd = 2\np = 3\nn_grid = 8, 16\nmc_runs = 1\n")
+    assert main(["rate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "computed at p = 2 only, got 3.0" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["p3.cfg"]
+    # p = 2, set or unset, runs, and the record says 2.0
+    for text in ("p = 2\n", ""):
+        cfg.write_text("experiment = rate_vs_truth\nd = 2\nn_grid = 8, 16\nmc_runs = 1\n" + text)
+        assert main(["rate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.with_suffix(".meta.json").read_text())["config"]["p"] == 2.0
 
 
 def test_config_file_values_with_a_parenthesis_are_one_token(tmp_path):
@@ -400,7 +423,7 @@ def test_a_value_that_nothing_reads_exits_2(tmp_path, capsys, text):
 
 
 def test_an_overlay_takes_p_and_d_from_its_experiment():
-    base = {"experiment": "rate_vs_truth", "d": 3, "p": 1.5, "overlay_kind": "finite"}
+    base = {"experiment": "rate_two_sample", "d": 3, "p": 1.5, "overlay_kind": "finite"}
     # the record holds what the overlay sets, with s resolved; p and d are the
     # experiment's and recorded there once
     fixed = {"kind": "finite", "gamma": None}
@@ -410,6 +433,29 @@ def test_an_overlay_takes_p_and_d_from_its_experiment():
     assert config_to_dict(config)["overlay"] == {**fixed, "s": 9.0, "C_user": 2.0}
     with pytest.raises(ConfigError, match="moment order s must exceed 2p"):
         config_from_mapping({**base, "overlay_s": 3})
+
+
+def _strict_json(text):
+    """text parsed as JSON, where a bare NaN, Infinity or -Infinity is an error."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command,text,recorded", [
+    ("rate", _RATE_CFG + "overlay_kind = finite\noverlay_s = inf\n", ("overlay", "s")),
+    ("rate", _RATE_CFG + "overlay_kind = exp_decay\noverlay_gamma = inf\n", ("overlay", "gamma")),
+    ("ratio", "experiment = ratio_exceedance\nd = 2\nn_grid = 20\nmc_runs = 1\neps_grid = 0.5, inf\n",
+     ("eps_grid", 1)),
+], ids=["overlay_s", "overlay_gamma", "eps_grid"])
+def test_an_infinite_value_is_recorded_as_strict_json(tmp_path, command, text, recorded):
+    cfg, out = tmp_path / "inf.cfg", tmp_path / "out.csv"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    meta = _strict_json(out.with_suffix(".meta.json").read_text())
+    key, item = recorded
+    assert meta["config"][key][item] == "inf"
+    assert meta["content_hash"] == _meta(config_from_mapping(parse_config_file(cfg)), 1)["content_hash"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -511,7 +557,9 @@ def test_the_rkhs_spec_is_the_top_level_and_a_ratio_config_has_no_order():
      "93685e0197dd316b835ccef30f32af36db484bdc030898de8efa9995113517a3"),
     ({"experiment": "ratio_exceedance", "d": 2, "n_grid": [20], "mc_runs": 2},
      "c12edaf0a48c25d9c78c28bc7d0e50d7d8dc52a08a5cbcd98912aa0d2768baf9"),
-], ids=["rate_vs_truth", "pareto_overlay", "rkhs_levels", "ratio_exceedance"])
+    ({"experiment": "ratio_exceedance", "d": 2, "n_grid": [20], "mc_runs": 1, "eps_grid": [0.5, math.inf]},
+     "39e6678d14ff81ada046d861f3fabb22a8a7d7a83d0bf99b17cf6dcee4e86d07"),
+], ids=["rate_vs_truth", "pareto_overlay", "rkhs_levels", "ratio_exceedance", "infinite_threshold"])
 def test_content_hash_is_pinned(mapping, digest):
     assert _meta(config_from_mapping(mapping), 1)["content_hash"] == digest
 

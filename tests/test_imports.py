@@ -244,7 +244,6 @@ xs = rng.standard_normal((20, 2))
 law = gaussian_law(0.5, 2.0)
 calls = {
     "vs_analytic_p2": lambda: msw_vs_analytic(xs, spec, 2.0, rng=RngStream(1, 0)).value,
-    "vs_analytic_p3": lambda: msw_vs_analytic(xs, spec, 3.0, rng=RngStream(1, 1)).value,
     "cdf": lambda: float(law.cdf(np.array([0.3]))[0]),
     "ratio_sup": lambda: ratio_sup(xs, spec, rng=RngStream(1, 2)).value,
     "wasserstein_full": lambda: wasserstein_full(xs[:8], rng.standard_normal((8, 2)), 2.0),
@@ -259,12 +258,11 @@ print(json.dumps(out))
 
 def test_every_lazy_scipy_site_runs_in_a_fresh_interpreter(tmp_path):
     # each entry: (returned a finite value, scipy.special loaded after the call)
-    order = ["vs_analytic_p2", "vs_analytic_p3", "cdf", "wasserstein_full"]
+    order = ["vs_analytic_p2", "cdf", "wasserstein_full"]
     out = run_fresh(f"ORDER = {order!r}\n{SITES}", tmp_path)
     assert out == {
         "gaussian_law": [True, False],
         "vs_analytic_p2": [True, False],
-        "vs_analytic_p3": [True, False],
         "cdf": [True, True],
         "wasserstein_full": [True, True],
     }

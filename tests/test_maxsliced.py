@@ -20,8 +20,10 @@ from msw import (
     msw_grid_oracle,
     msw_vs_analytic,
     w1d_empirical,
+    w1d_vs_cdf,
     wasserstein_full,
 )
+from msw.ot1d import AnalyticCdf1d
 from msw.maxsliced import (
     _GRID_BLOCK,
     _GROW,
@@ -189,10 +191,10 @@ def test_msw_errors():
 
 
 def test_vs_analytic_point_at_mean_isotropic():
-    # single point at the mean of N(0, I2), p = 1: every direction sees E|Z|
+    # single point at the mean of N(0, I2): every direction sees W_2 = sd = 1
     spec = Gaussian(np.zeros(2), np.eye(2))
-    res = msw_vs_analytic([[0.0, 0.0]], spec, 1.0, FAST, RngStream(5))
-    assert res.value == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-3)
+    res = msw_vs_analytic([[0.0, 0.0]], spec, 2.0, FAST, RngStream(5))
+    assert res.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_vs_analytic_point_at_mean_anisotropic():
@@ -232,20 +234,25 @@ def test_vs_analytic_order_and_dimension_errors():
         msw_vs_analytic([[1.0, 1.0, 1.0]], spec, 2.0, FAST, RngStream(0))
 
 
-@pytest.mark.parametrize("p", [1.0, 3.0])
-def test_vs_analytic_singular_gaussian_at_p_not_2(p):
+@pytest.mark.parametrize("p", [1.0, 3.0, math.nan])
+def test_vs_analytic_takes_p_2_only(p):
+    spec = Gaussian(np.zeros(2), np.eye(2))
+    with pytest.raises(DomainError):
+        msw_vs_analytic([[1.0, 1.0]], spec, p, FAST, RngStream(0))
+
+
+def test_vs_analytic_singular_gaussian():
     # points that vary only along the covariance's null space: the winning
-    # direction projects the law to a point mass at 0, so W_p is the p-th
-    # moment of the projections (3 at p = 1, 45^(1/3) at p = 3)
+    # direction projects the law to a point mass at 0, so W_2 is the root
+    # mean square of the projections, sqrt(mean(t^2)) = sqrt(11)
     t = np.arange(1.0, 6.0)
-    expected = np.mean(t**p) ** (1.0 / p)
     xs = np.zeros((5, 3))
     xs[:, 2] = t
     spec = Gaussian(np.zeros(3), np.diag([1.0, 1.0, 0.0]))
-    assert msw_vs_analytic(xs, spec, p, FAST, RngStream(0)).value == pytest.approx(expected, rel=1e-9)
+    assert msw_vs_analytic(xs, spec, 2.0, FAST, RngStream(0)).value == pytest.approx(math.sqrt(11.0), rel=1e-9)
     point_mass = Gaussian(np.zeros(1), np.zeros((1, 1)))
-    res = msw_vs_analytic(t[:, None], point_mass, p, FAST, RngStream(0))
-    assert res.value == pytest.approx(expected, rel=1e-9)
+    res = msw_vs_analytic(t[:, None], point_mass, 2.0, FAST, RngStream(0))
+    assert res.value == pytest.approx(math.sqrt(11.0), rel=1e-9)
 
 
 def _reference_two_sample_value_and_grad(obj, th):
@@ -285,33 +292,17 @@ def _reference_analytic_value_and_grad(obj, th):
     px = obj.x @ th.T
     ox = np.argsort(px, axis=0)
     sx = np.take_along_axis(px, ox, 0)
-    if obj.p == 2.0:
-        # the closed form: W_2^2 = mean(c^2) - 2 s <g, c> + s^2 with c = sx - m
-        c = sx - mth
-        b = obj.g @ c
-        vals = np.maximum(np.mean(c * c, axis=0) - 2.0 * s * b + s * s, 0.0)
-        per_point = (2.0 / sx.shape[0]) * c - 2.0 * s * obj.g[:, None]
-        ax = np.empty_like(per_point)
-        np.put_along_axis(ax, ox, per_point, axis=0)
-        grads = (
-            ax.T @ obj.x
-            - per_point.sum(axis=0)[:, None] * obj.mean[None, :]
-            + (2.0 * (s - b) / np.maximum(s, 1e-150))[:, None] * sig_th
-        )
-        return vals, grads
-    delta = sx[:, None, :] - mth[None, None, :] - s[None, None, :] * obj.z[:, :, None]
-    absd = np.abs(delta)
-    vals = np.einsum("nk,nkr->r", obj.wq, absd**obj.p)
-    coef = obj.p * obj.wq[:, :, None] * np.sign(delta) * absd ** (obj.p - 1.0)
-    per_point = coef.sum(axis=1)
-    total = per_point.sum(axis=0)
-    z_weighted = np.einsum("nkr,nk->r", coef, obj.z)
+    # the closed form: W_2^2 = mean(c^2) - 2 s <g, c> + s^2 with c = sx - m
+    c = sx - mth
+    b = obj.g @ c
+    vals = np.maximum(np.mean(c * c, axis=0) - 2.0 * s * b + s * s, 0.0)
+    per_point = (2.0 / sx.shape[0]) * c - 2.0 * s * obj.g[:, None]
     ax = np.empty_like(per_point)
     np.put_along_axis(ax, ox, per_point, axis=0)
     grads = (
         ax.T @ obj.x
-        - total[:, None] * obj.mean[None, :]
-        - (z_weighted / np.maximum(s, 1e-150))[:, None] * sig_th
+        - per_point.sum(axis=0)[:, None] * obj.mean[None, :]
+        + (2.0 * (s - b) / np.maximum(s, 1e-150))[:, None] * sig_th
     )
     return vals, grads
 
@@ -346,20 +337,18 @@ def test_two_sample_objective_matches_the_argsort_reference(n, m, d, decimals):
 
 @pytest.mark.parametrize("n,d,decimals", [(200, 3, None), (1600, 8, None), (300, 2, 1)])
 def test_analytic_objective_matches_the_argsort_reference(n, d, decimals):
-    # the closed form at p = 2 and the quadrature path at p != 2
     rng = np.random.default_rng(n + d)
     x = rng.normal(size=(n, d))
     if decimals is not None:
         x = np.round(x, decimals)
     spec = Gaussian(np.full(d, 0.2), np.diag(np.linspace(0.5, 2.0, d)))
+    obj = _AnalyticObjective(x, spec)
     for th in (_directions(rng, 13, d), _directions(rng, 1, d)):
-        for p in (1.0, 2.0, 3.0):
-            obj = _AnalyticObjective(x, spec, p)
-            vals, grads = obj.value_and_grad(th)
-            want_vals, want_grads = _reference_analytic_value_and_grad(obj, th)
-            assert np.array_equal(vals, want_vals), (th.shape, p)
-            assert np.array_equal(grads, want_grads), (th.shape, p)
-            assert np.array_equal(obj.value(th), want_vals), (th.shape, p)
+        vals, grads = obj.value_and_grad(th)
+        want_vals, want_grads = _reference_analytic_value_and_grad(obj, th)
+        assert np.array_equal(vals, want_vals), th.shape
+        assert np.array_equal(grads, want_grads), th.shape
+        assert np.array_equal(obj.value(th), want_vals), th.shape
 
 
 def _reference_normalize_rows(th):
@@ -422,8 +411,7 @@ def _ascend_cases():
     spec = Gaussian(np.full(5, 0.1), np.diag(np.linspace(0.5, 2.0, 5)))
     yield "two-sample", _TwoSampleObjective(x, y, 2.0), np.vstack([x, y]), x.mean(0) - y.mean(0)
     yield "two-sample p=1 unequal n", _TwoSampleObjective(x, y[:130], 1.0), x, x.mean(0)
-    yield "analytic p=2", _AnalyticObjective(x, spec, 2.0), x, x.mean(0) - spec.mean
-    yield "analytic p=3", _AnalyticObjective(x, spec, 3.0), x, x.mean(0) - spec.mean
+    yield "analytic", _AnalyticObjective(x, spec), x, x.mean(0) - spec.mean
     yield "ratio", _RatioObjective(x[:, :2], Gaussian(np.zeros(2), np.eye(2))), x[:, :2], x.mean(0)[:2]
 
 
@@ -500,14 +488,11 @@ def test_two_sample_gradient_supports_the_value_under_ties(n, m):
 def test_analytic_objectives_at_one_n_share_read_only_tables():
     rng = np.random.default_rng(405)
     spec = Gaussian(np.zeros(2), np.eye(2))
-    for p, names in ((2.0, ("g",)), (3.0, ("wq", "z"))):
-        a, b = (_AnalyticObjective(rng.normal(size=(150, 2)), spec, p) for _ in range(2))
-        for name in names:
-            table = getattr(a, name)
-            assert table is getattr(b, name)
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0] = 0.0
+    a, b = (_AnalyticObjective(rng.normal(size=(150, 2)), spec) for _ in range(2))
+    assert a.g is b.g
+    assert not a.g.flags.writeable
+    with pytest.raises(ValueError):
+        a.g[0] = 0.0
 
 
 def test_grid_oracle_memory_follows_the_larger_sample():
@@ -525,17 +510,16 @@ def test_grid_oracle_memory_follows_the_larger_sample():
     assert max(peaks) <= 1.5 * min(peaks)
 
 
-def test_analytic_seed_grid_memory_follows_the_quadrature_nodes():
+def test_seed_grid_memory_follows_one_block():
     # the 1024-direction d = 3 seed grid runs in fixed blocks of _GRID_BLOCK
-    # directions: memory follows one block (at p != 2, n * _OPT_NODES elements
-    # per direction), and each block's values are the objective's own bits
+    # directions: memory follows one block, and each block's values are the
+    # objective's own bits
     dirs = grid_directions(3, _SEED_GRID[3])
     law = Gaussian(np.zeros(3), np.eye(3))
     for n in (1600, 6000):
         rng = np.random.default_rng(98)
         x, y = rng.normal(size=(n, 3)), rng.normal(size=(3 * n // 4, 3)) + 0.3
-        objectives = {"analytic_p3": _AnalyticObjective(x, law, 3.0),
-                      "analytic_p2": _AnalyticObjective(x, law, 2.0),
+        objectives = {"analytic": _AnalyticObjective(x, law),
                       "two_sample": _TwoSampleObjective(x, y, 2.0),
                       "ratio": _RatioObjective(x, law)}
         for kind, obj in objectives.items():
@@ -611,11 +595,21 @@ def _quad_w2_squared(sx, m, s):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 50, 400])
+def test_w1d_vs_cdf_matches_quad(n):
+    rng = np.random.default_rng(410 + n)
+    for _ in range(4):
+        xs = np.sort(rng.normal(0.3, 1.3, size=n))
+        m, s = float(rng.normal()), float(rng.uniform(0.2, 3.0))
+        want = math.sqrt(_quad_w2_squared(xs, m, s))
+        assert w1d_vs_cdf(xs, AnalyticCdf1d(m, s), 2.0) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 400])
 def test_analytic_closed_form_matches_quad(n):
     rng = np.random.default_rng(400 + n)
     x = rng.normal(size=(n, 3))
     th = _directions(rng, 4, 3)
-    vals = _AnalyticObjective(x, _LAW, 2.0).value(th)
+    vals = _AnalyticObjective(x, _LAW).value(th)
     for r, t in enumerate(th):
         want = _quad_w2_squared(np.sort(x @ t), t @ _LAW.mean, math.sqrt(t @ _LAW.cov @ t))
         assert vals[r] == pytest.approx(want, rel=1e-12)
@@ -625,7 +619,7 @@ def test_analytic_closed_form_gradient_matches_central_differences():
     rng = np.random.default_rng(402)
     x = rng.normal(size=(50, 3))
     th = _directions(rng, 6, 3)
-    obj = _AnalyticObjective(x, _LAW, 2.0)
+    obj = _AnalyticObjective(x, _LAW)
     _, grads = obj.value_and_grad(th)
     h = 1e-6
     for r, t in enumerate(th):
@@ -640,7 +634,7 @@ def test_analytic_closed_form_value_matches_value_and_grad_under_ties():
     rng = np.random.default_rng(403)
     x = np.round(rng.normal(size=(300, 3)), 1)
     th = _directions(rng, 13, 3)
-    obj = _AnalyticObjective(x, _LAW, 2.0)
+    obj = _AnalyticObjective(x, _LAW)
     vals, _ = obj.value_and_grad(th)
     assert np.array_equal(obj.value(th), vals)
 
@@ -648,7 +642,7 @@ def test_analytic_closed_form_value_matches_value_and_grad_under_ties():
 def test_analytic_closed_form_certificate_squares_to_the_value():
     rng = np.random.default_rng(404)
     x = rng.normal(size=(200, 3))
-    obj = _AnalyticObjective(x, _LAW, 2.0)
+    obj = _AnalyticObjective(x, _LAW)
     for t in _directions(rng, 5, 3):
         assert obj.certify(t) ** 2 == pytest.approx(obj.value(t[None])[0], rel=1e-12)
 
@@ -692,7 +686,7 @@ def test_msw_empirical_is_at_most_the_full_distance(clouds, p):
 @settings(max_examples=60, deadline=None)
 @given(clouds=_point_clouds(), var=st.lists(st.floats(0.1, 4.0), min_size=4, max_size=4))
 def test_msw_vs_analytic_clears_the_mean_difference_at_p2(clouds, var):
-    # the p = 2 certificate is exact, so no quadrature slack is needed; the
+    # the certificate is exact in closed form, so no slack is needed; the
     # first point of the second cloud serves as the law's mean
     x, mean = clouds[0], clouds[1][0]
     spec = Gaussian(mean, np.diag(var[: x.shape[1]]))

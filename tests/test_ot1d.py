@@ -10,7 +10,7 @@ from scipy.special import ndtri
 
 from msw import DomainError, NumericError, gaussian_law, project, w1d_empirical, w1d_vs_cdf
 from msw.harness import DEFAULT_N_GRID
-from msw.ot1d import _U_CLIP, _ndtri, _normal_quantile_blocks, quantile_blocks
+from msw.ot1d import _ndtri, quantile_blocks
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0)
 small_samples = st.lists(finite_floats, min_size=1, max_size=9).map(sorted)
@@ -123,6 +123,12 @@ def test_an_infinite_order_is_a_domain_error():
             w1d_vs_cdf([1.0], gaussian_law(0.0, 1.0), p)
 
 
+@pytest.mark.parametrize("p", [1.0, 3.0, math.nan])
+def test_vs_cdf_takes_p_2_only(p):
+    with pytest.raises(DomainError):
+        w1d_vs_cdf([1.0], gaussian_law(0.0, 1.0), p)
+
+
 @pytest.mark.parametrize(
     "points,theta,expected",
     [
@@ -141,20 +147,21 @@ def test_project_dimension_mismatch():
 
 
 def test_vs_cdf_absolute_moment_of_standard_normal():
-    # integral of |ndtri(u)| over (0,1) is E|Z| = sqrt(2/pi)
-    target = math.sqrt(2.0 / math.pi)
-    assert w1d_vs_cdf([0.0], gaussian_law(0.0, 1.0), 1.0) == pytest.approx(target, abs=1e-3)
-    assert reference_w1d_vs_cdf([0.0], 0.0, 1.0, 1.0, 4096) == pytest.approx(target, abs=1e-7)
+    # the two points +-E|Z| are the means of N(0, 1) on its two half lines, so
+    # W_2^2 is what they leave of the variance: 1 - (E|Z|)^2 = 1 - 2/pi
+    m = math.sqrt(2.0 / math.pi)
+    assert w1d_vs_cdf([-m, m], gaussian_law(0.0, 1.0), 2.0) ** 2 == pytest.approx(1.0 - 2.0 / math.pi, rel=1e-14)
 
 
 def test_vs_cdf_second_moment_and_shift():
-    # point at the mean of N(5, 1): W_2^2 equals the variance
-    assert w1d_vs_cdf([5.0], gaussian_law(5.0, 1.0), 2.0) == pytest.approx(1.0, abs=5e-3)
-    assert reference_w1d_vs_cdf([5.0], 5.0, 1.0, 2.0, 4096) == pytest.approx(1.0, abs=1e-6)
+    # point at the mean of N(5, 1): W_2^2 equals the variance; shifted by 3, it adds 3^2
+    assert w1d_vs_cdf([5.0], gaussian_law(5.0, 1.0), 2.0) == 1.0
+    assert w1d_vs_cdf([8.0], gaussian_law(5.0, 1.0), 2.0) == math.sqrt(10.0)
 
 
 def test_vs_cdf_narrow_law_is_near_zero():
-    assert w1d_vs_cdf([0.0], gaussian_law(0.0, 1e-18), 2.0) <= 1e-6
+    # one point at the mean: the distance is the sd
+    assert w1d_vs_cdf([0.0], gaussian_law(0.0, 1e-18), 2.0) == pytest.approx(1e-9, rel=1e-15)
 
 
 def test_vs_cdf_quantile_grid_shrinks():
@@ -176,50 +183,10 @@ def test_gaussian_law_roundtrip_invariant():
     assert np.all(np.diff(u) >= 0.0)
 
 
-def reference_quadrature(n: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The weights and standard normal quantiles at nodes Gauss-Legendre nodes
-    over each clipped block ((i-1)/n, i/n], built on every call."""
-    edges = np.clip(np.arange(n + 1) / n, _U_CLIP, 1.0 - _U_CLIP)
-    lo, hi = edges[:-1], edges[1:]
-    t, v = leggauss(nodes)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    u = mid[:, None] + half[:, None] * t[None, :]
-    return half[:, None] * v[None, :], _ndtri(u.ravel()).reshape(u.shape)
-
-
-def reference_w1d_vs_cdf(xs, mean: float, var: float, p: float, nodes: int) -> float:
-    """W_p between a sorted sample and N(mean, var) by the per-call quadrature
-    at nodes nodes per block."""
-    x = np.asarray(xs, dtype=np.float64)
-    w, z = reference_quadrature(x.size, nodes)
-    diff = np.abs(x[:, None] - (mean + float(np.sqrt(var)) * z))
-    return float(np.sum(w * diff**p) ** (1.0 / p))
-
-
-def test_vs_cdf_matches_the_per_call_quadrature():
-    # the cached tables are the per-call build's bit for bit, at 1 node and at
-    # the orders the library reads (8 in the analytic objective, 32 in
-    # w1d_vs_cdf), and w1d_vs_cdf gives the per-call value at p != 2
-    sizes = (1, 2, 3, 50, 400, 1600)
-    mismatched = [
-        (n, k) for n in sizes for k in (1, 8, 32)
-        if not all(np.array_equal(a, b) for a, b in
-                   zip(_normal_quantile_blocks(n, k), reference_quadrature(n, k)))
-    ]
-    rng = np.random.default_rng(29)
-    for n, p in itertools.product(sizes, (1.0, 1.5, 3.0)):
-        mean, var = float(rng.normal()), float(rng.uniform(0.1, 4.0))
-        xs = np.sort(rng.normal(mean, 1.5, size=n))
-        if w1d_vs_cdf(xs, gaussian_law(mean, var), p) != reference_w1d_vs_cdf(xs, mean, var, p, 32):
-            mismatched.append((n, p))
-    assert mismatched == []
-
-
 def test_vs_cdf_non_finite_quantiles_are_a_numeric_error():
     for mean in (math.inf, math.nan):
         with pytest.raises(NumericError):
-            w1d_vs_cdf([0.0], gaussian_law(mean, 1.0), 1.0)
+            w1d_vs_cdf([0.0], gaussian_law(mean, 1.0), 2.0)
 
 
 # the sample sizes of the default rate grid, plus the edges of the block grid
@@ -227,9 +194,9 @@ NDTRI_SIZES = sorted(set(DEFAULT_N_GRID) | {1, 2, 3, 6000})
 
 
 def quadrature_nodes(n: int, k: int) -> np.ndarray:
-    """The k Gauss-Legendre nodes per block at which the analytic objective
-    (k = 8) and w1d_vs_cdf (k = 32) evaluate the normal quantile."""
-    edges = np.clip(np.arange(n + 1) / n, _U_CLIP, 1.0 - _U_CLIP)
+    """k Gauss-Legendre nodes in each block ((i-1)/n, i/n], its edges clipped
+    to [1e-12, 1 - 1e-12]: points across every block, down to the far tails."""
+    edges = np.clip(np.arange(n + 1) / n, 1e-12, 1.0 - 1e-12)
     lo, hi = edges[:-1], edges[1:]
     t, _ = leggauss(k)
     return (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t).ravel()
