@@ -255,6 +255,23 @@ def test_vs_analytic_singular_gaussian():
     assert res.value == pytest.approx(math.sqrt(11.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_vs_analytic_singular_gaussian_at_p_not_2(p):
+    # the same null-space points: vs-truth refuses p != 2 on the singular
+    # specs, and the exact two-sample path against a sample of the point mass
+    # still gives the p-th moment of the projections (3 at p = 1, 45^(1/3) at p = 3)
+    t = np.arange(1.0, 6.0)
+    expected = np.mean(t**p) ** (1.0 / p)
+    xs = np.zeros((5, 3))
+    xs[:, 2] = t
+    point_mass = Gaussian(np.zeros(1), np.zeros((1, 1)))
+    for samples, spec in ((xs, Gaussian(np.zeros(3), np.diag([1.0, 1.0, 0.0]))), (t[:, None], point_mass)):
+        with pytest.raises(DomainError):
+            msw_vs_analytic(samples, spec, p, FAST, RngStream(0))
+        res = msw_empirical(samples, np.zeros_like(samples), p, FAST, RngStream(0))
+        assert res.value == pytest.approx(expected, rel=1e-9)
+
+
 def _reference_two_sample_value_and_grad(obj, th):
     """The two-sample objective as computed with a per-column argsort and np.add.at."""
     px, py = obj.x @ th.T, obj.y @ th.T
