@@ -225,7 +225,8 @@ def spec_to_dict(spec: DistributionSpec) -> dict:
 
 
 def _strict_json(x):
-    """x, or "inf" for +inf, the one non-finite config value, which strict JSON cannot hold."""
+    """x, or "inf" for +inf, which strict JSON cannot hold: the one non-finite
+    value of a config or of an emitted table."""
     return "inf" if x == math.inf else x
 
 
@@ -296,6 +297,17 @@ def _streams(config: ExperimentConfig, n_index: int, trial: int) -> tuple[RngStr
 
 
 def _rate_trial(config: ExperimentConfig, n_index: int, trial: int):
+    """The statistics of one (n, trial) item, one per truncation level, and its wall time.
+
+    rkhs_rate draws one sample pair at the top level and slices it to each
+    level of d_test_list. The levels are nested: a direction padded with zeros
+    projects the wider slice exactly as the narrower one, so the true distance
+    cannot fall as d_test grows. The levels are searched in ascending order,
+    the k-th on opt_stream.child(k). The first runs config.optimizer; each
+    higher one starts from the zero-padded winner of the level below, with one
+    random restart besides the seed directions. The values come back in the
+    config's order.
+    """
     n = config.n_grid[n_index]
     mu_stream, nu_stream, opt_stream, _ = _streams(config, n_index, trial)
     start = time.perf_counter()
@@ -305,15 +317,17 @@ def _rate_trial(config: ExperimentConfig, n_index: int, trial: int):
         return (result.value,), time.perf_counter() - start
     ys = measures.sample(config.spec, n, nu_stream)
     if config.experiment == "rate_two_sample":
-        values = (maxsliced.msw_empirical(xs, ys, config.p, config.optimizer, opt_stream).value,)
-    else:  # rkhs_rate: one draw, sliced to each truncation level
-        values = tuple(
-            maxsliced.msw_empirical(
-                xs[:, :dt], ys[:, :dt], config.p, config.optimizer, opt_stream.child(k)
-            ).value
-            for k, dt in enumerate(config.d_test_list)
-        )
-    return values, time.perf_counter() - start
+        result = maxsliced.msw_empirical(xs, ys, config.p, config.optimizer, opt_stream)
+        return (result.value,), time.perf_counter() - start
+    # rkhs_rate: one draw, sliced to each truncation level
+    found, opts, below = {}, config.optimizer, None
+    for k, dt in enumerate(sorted(config.d_test_list)):
+        padded = None if below is None else np.pad(below, (0, dt - below.size))[None, :]
+        result = maxsliced.msw_empirical(xs[:, :dt], ys[:, :dt], config.p, opts,
+                                         opt_stream.child(k), extra_axes=padded)
+        found[dt], below = result.value, result.argmax
+        opts = replace(config.optimizer, restarts=1)
+    return tuple(found[dt] for dt in config.d_test_list), time.perf_counter() - start
 
 
 def _ratio_trial(config: ExperimentConfig, n_index: int, trial: int):
@@ -447,7 +461,8 @@ def emit(obj, format: str, path) -> None:
     """Write a RateCurve or RatioTable as CSV or JSON, plus a sibling meta file.
 
     CSV uses '.' decimals, LF line endings, UTF-8, and round-trippable float
-    repr; JSON mirrors the same fields as one object per row. The metadata
+    repr; JSON mirrors the same fields as one object per row, strict JSON with
+    +inf written as the string "inf", as in the meta file. The metadata
     (full config, master seed, content hash, run environment) lands next to
     the output as <stem>.meta.json.
     """
@@ -465,11 +480,12 @@ def emit(obj, format: str, path) -> None:
             path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
         else:
             payload = [
-                {key: (int(x) if isinstance(x, (int, np.integer)) else float(x))
+                {key: (int(x) if isinstance(x, (int, np.integer)) else _strict_json(float(x)))
                  for key, x in zip(header, row)}
                 for row in rows
             ]
-            path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8", newline="\n")
+            text = json.dumps(payload, indent=1, allow_nan=False)
+            path.write_text(text + "\n", encoding="utf-8", newline="\n")
         meta = json.dumps(obj.meta, indent=2, sort_keys=True, allow_nan=False) + "\n"
         path.with_suffix(".meta.json").write_text(meta, encoding="utf-8", newline="\n")
     except OSError as exc:

@@ -336,19 +336,26 @@ def _sample_pair(xs, ys, p: float):
 
 
 def msw_empirical(xs, ys, p: float, opts: OptimizerOpts | None = None,
-                  rng: RngStream | None = None) -> MswResult:
+                  rng: RngStream | None = None, *, extra_axes=None) -> MswResult:
     """Max-sliced W_p between two empirical measures (certified lower bound).
 
     Sample sizes may differ; dimensions must agree. For d = 1 the sphere is
-    {-1, +1} and the result is exact.
+    {-1, +1} and the result is exact. extra_axes, if given, holds further
+    start directions as the rows of a (k, d) array; they join the random
+    restarts and the seed directions (the harness passes the winner of the
+    truncation level below, padded with zeros).
     """
     x, y = _sample_pair(xs, ys, p)
     d = x.shape[1]
     if d == 1:
         value = ot1d.w1d_empirical(np.sort(x[:, 0]), np.sort(y[:, 0]), p)
         return MswResult(value, np.array([1.0]), restarts_used=0, iterations=0)
+    if extra_axes is not None:
+        extra_axes = np.asarray(extra_axes, dtype=np.float64)
+        if extra_axes.ndim != 2 or extra_axes.shape[1] != d:
+            raise DomainError(f"extra_axes must have shape (k, {d}), got {extra_axes.shape}")
     objective = _TwoSampleObjective(x, y, p)
-    return _run_search(objective, np.vstack([x, y]), x.mean(0) - y.mean(0), None, opts, rng)
+    return _run_search(objective, np.vstack([x, y]), x.mean(0) - y.mean(0), extra_axes, opts, rng)
 
 
 def msw_vs_analytic(xs, spec: Gaussian, p: float, opts: OptimizerOpts | None = None,

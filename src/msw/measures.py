@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rkhs
-from .errors import DomainError, SpecError
+from .errors import DomainError, NumericError, SpecError
 
 # PSD tolerance: Cholesky must succeed on the symmetrized covariance after at
 # most this much diagonal jitter
@@ -130,7 +130,10 @@ def _cholesky_psd(cov: np.ndarray) -> np.ndarray:
     are accepted by adding up to 1e-10 to the diagonal; anything needing more
     is treated as not PSD.
     """
-    sym = 0.5 * (cov + cov.T)
+    # an entry whose symmetrized sum overflows leaves a non-finite factor, so
+    # sample reports the non-finite draw that follows (NumericError)
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (cov + cov.T)
     for jitter in _JITTER_STEPS:
         try:
             return np.linalg.cholesky(sym + jitter * np.eye(sym.shape[0]))
@@ -144,8 +147,9 @@ def sample(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
 
     Gaussian draws are mean + L z with L the (jittered) Cholesky factor and z
     standard normal. Pareto marginals use the inverse cdf x = (1-U)^(-1/shape)
-    with U uniform on [0, 1), so draws are finite and at least 1. Pushforward
-    samples embed z ~ N(0, eta2) through the truncated feature map.
+    with U uniform on [0, 1), so draws are at least 1. Pushforward samples
+    embed z ~ N(0, eta2) through the truncated feature map. A draw that
+    overflows is a NumericError.
     """
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
@@ -153,14 +157,19 @@ def sample(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
     if isinstance(spec, Gaussian):
         chol = _cholesky_psd(spec.cov)
         z = gen.standard_normal((n, spec.dim))
-        return spec.mean[None, :] + z @ chol.T
-    if isinstance(spec, ParetoProduct):
+        draw = spec.mean[None, :] + z @ chol.T
+    elif isinstance(spec, ParetoProduct):
         u = gen.random((n, spec.d))
-        return (1.0 - u) ** (-1.0 / spec.shape)
-    if isinstance(spec, RkhsPushforward):
+        with np.errstate(over="ignore"):
+            draw = (1.0 - u) ** (-1.0 / spec.shape)
+    elif isinstance(spec, RkhsPushforward):
         z = math.sqrt(spec.eta2) * gen.standard_normal(n)
-        return rkhs.feature_coords(spec.kernel, z, spec.d_test)
-    raise SpecError(f"unknown distribution spec {type(spec).__name__}")
+        draw = rkhs.feature_coords(spec.kernel, z, spec.d_test)
+    else:
+        raise SpecError(f"unknown distribution spec {type(spec).__name__}")
+    if not np.isfinite(draw).all():
+        raise NumericError(f"a draw of {n} points from the {type(spec).__name__} spec overflowed")
+    return draw
 
 
 def moment_empirical(samples, s: float) -> float:

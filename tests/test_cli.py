@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,25 @@ def test_a_non_finite_distance_exits_3(tmp_path, capsys, xs, ys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("law", [
+    "experiment = rate_vs_truth\nd = 2\ncovariance = diag(1e308, 1e308)\n",
+    "experiment = rate_two_sample\ndistribution = pareto_product\nshape = 0.001\nd = 2\n",
+], ids=["gaussian", "pareto"])
+def test_a_draw_that_overflows_exits_3_without_a_warning(tmp_path, capsys, law):
+    cfg, out = tmp_path / "huge.cfg", tmp_path / "curve.csv"
+    cfg.write_text(law + "n_grid = 8, 16\nmc_runs = 1\nrestarts = 1\nmax_iters = 5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["rate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "numeric error: a draw of 8 points" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["huge.cfg"]
+    # a sample file that holds inf is a malformed input, not a numeric error
+    pts = tmp_path / "pts.csv"
+    pts.write_text("1.0,2.0\ninf,0.0\n0.5,0.5\n")
+    assert main(["compute", str(pts), str(pts)]) == 2
+    assert "non-finite entries" in capsys.readouterr().err
+
+
 def test_a_non_finite_statistic_exits_3(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "huge_p.cfg"
     cfg.write_text(
@@ -456,6 +476,16 @@ def test_an_infinite_value_is_recorded_as_strict_json(tmp_path, command, text, r
     key, item = recorded
     assert meta["config"][key][item] == "inf"
     assert meta["content_hash"] == _meta(config_from_mapping(parse_config_file(cfg)), 1)["content_hash"]
+
+
+def test_a_json_table_is_strict_json(tmp_path):
+    cfg, out = tmp_path / "ratio.cfg", tmp_path / "table.json"
+    cfg.write_text(_RATIO_CFG + "eps_grid = 0.5, inf\n")
+    assert main(["ratio", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    rows = _strict_json(out.read_text())
+    assert [row["epsilon"] for row in rows] == [0.5, "inf"]
+    assert rows[1] == {"n": 20, "epsilon": "inf", "frequency": 0.0, "bound": 0.0,
+                       "bound_raw": 0.0, "runs": 3}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -94,6 +94,21 @@ def test_emit_round_trip_and_json_keys(tmp_path):
     assert sorted(rows[0]) == ["mean", "n", "runs", "stderr", "wall_s"]
 
 
+def test_emit_json_writes_an_infinite_value_as_a_string(tmp_path):
+    curve = make_curve([8, 16], [0.5, 0.25], stderr=np.array([math.inf, 0.01]))
+    out = tmp_path / "inf.json"
+    emit(curve, "json", out)
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    rows = json.loads(out.read_text(), parse_constant=reject)
+    assert [row["stderr"] for row in rows] == ["inf", 0.01]
+    back = load_rate_curve(out, "json")
+    assert back.stderr.tolist() == [math.inf, 0.01]
+    assert back.same_statistics(curve)
+
+
 def test_emit_overlay_column(tmp_path):
     overlay = Overlay("finite", s=5.0)
     cfg = ExperimentConfig("rate_two_sample", GAUSS2, n_grid=(8, 16), mc_runs=2,
@@ -198,6 +213,41 @@ def test_rkhs_rate_returns_curve_per_truncation():
         assert np.all(curve.mean > 0.0)
     # truncation barely moves the coupled estimates
     assert np.allclose(curves[10].mean, curves[20].mean, rtol=0.1)
+
+
+def _level_values(levels, master_seed=30, threads=1):
+    """Per-trial rkhs_rate values {level: (len(n_grid), mc_runs)} at two n."""
+    spec = RkhsPushforward(KernelSpec(4.0, 1.0), 1.0, max(levels))
+    cfg = ExperimentConfig("rkhs_rate", spec, n_grid=(50, 400), mc_runs=8, master_seed=master_seed,
+                           optimizer=OptimizerOpts(), d_test_list=levels)
+    values, _, _ = harness._run_items(harness._rate_trial, cfg, threads)
+    return dict(zip(levels, values))
+
+
+def test_rkhs_values_never_fall_as_the_level_grows():
+    # a level's winner, padded with zeros, starts the search of the next level
+    found = _level_values((3, 6, 10))
+    for low, high in ((3, 6), (6, 10)):
+        assert np.all(found[high] >= found[low] * (1.0 - 1e-12)), (low, high)
+    assert found[3].size == 16
+
+
+def test_rkhs_levels_are_searched_in_ascending_order_whatever_the_config_order():
+    ascending = _level_values((3, 6, 10))
+    shuffled = _level_values((10, 3, 6))
+    for level, vals in ascending.items():
+        assert np.array_equal(shuffled[level], vals), level
+
+
+def test_rkhs_rate_is_bit_identical_at_one_and_two_workers():
+    spec = RkhsPushforward(KernelSpec(4.0, 1.0), 1.0, 6)
+    cfg = ExperimentConfig("rkhs_rate", spec, n_grid=(10, 20), mc_runs=3, master_seed=8,
+                           optimizer=TINY_OPT, d_test_list=(6, 2, 4))
+    one = run_rate_experiment(cfg, threads=1)
+    two = run_rate_experiment(cfg, threads=2)
+    assert sorted(one) == sorted(two) == [2, 4, 6]
+    for level in one:
+        assert one[level].same_statistics(two[level]), level
 
 
 def test_each_truncation_level_takes_its_own_overlay_dimension():

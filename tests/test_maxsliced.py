@@ -808,3 +808,18 @@ def test_search_value_clears_every_start(d, p):
                              opts, RngStream(3))
     value = msw_empirical(x, y, p, opts, RngStream(3)).value
     assert value**p >= np.max(objective.value(starts)) * (1.0 - 1e-12)
+
+
+def test_msw_empirical_starts_from_its_extra_axes():
+    # the direction of a long many-start search, passed as an extra start,
+    # is never lost to a one-restart search
+    x, y = _shifted_pair(6, 150, 6)
+    best = msw_empirical(x, y, 2.0, OptimizerOpts(restarts=40), RngStream(5))
+    lean = OptimizerOpts(restarts=1)
+    seeded = msw_empirical(x, y, 2.0, lean, RngStream(9), extra_axes=best.argmax[None, :])
+    assert seeded.value >= best.value * (1.0 - 1e-12)
+    alone = msw_empirical(x, y, 2.0, lean, RngStream(9))
+    assert seeded.restarts_used == alone.restarts_used + 1
+    for bad in (best.argmax, np.zeros((1, 5))):
+        with pytest.raises(DomainError, match="extra_axes must have shape"):
+            msw_empirical(x, y, 2.0, lean, RngStream(9), extra_axes=bad)

@@ -9,6 +9,7 @@ from msw import (
     DomainError,
     Gaussian,
     KernelSpec,
+    NumericError,
     ParetoProduct,
     RkhsPushforward,
     RngStream,
@@ -143,3 +144,11 @@ def test_pareto_empirical_moment_converges_below_bound():
     assert deviations[2] < deviations[0]
     assert deviations[2] < 0.1
     assert moment_empirical(sample(spec, 1_000_000, RngStream(42, 2)), 4.0) <= bound * 1.05
+
+
+def test_a_draw_that_overflows_is_a_numeric_error():
+    huge = Gaussian(np.zeros(2), np.diag([1e308, 1e308]))
+    with pytest.raises(NumericError, match="a draw of 4 points from the Gaussian spec overflowed"):
+        sample(huge, 4, RngStream(0))
+    with pytest.raises(NumericError, match="ParetoProduct"):
+        sample(ParetoProduct(1e-3, 2), 4, RngStream(0))
