@@ -37,6 +37,7 @@ _GRID_BLOCK = 64
 # each start's first step and its growth after a rise (it halves after a
 # fall); a start stops after _PATIENCE tries without a relative gain of _TOL
 _STEP0, _GROW, _PATIENCE, _TOL = 0.1, 1.5, 10, 1e-7
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,19 @@ def _normalize_rows(th: np.ndarray) -> np.ndarray:
     # np.linalg.norm's own arithmetic for the 2-norm along an axis, so the
     # bits are the same, without its per-call checks
     return th / np.maximum(np.sqrt(np.add.reduce(th * th, axis=1, keepdims=True)), 1e-300)
+
+
+def _unit_rows(th: np.ndarray) -> np.ndarray:
+    """_normalize_rows at any scale. A finite nonzero row whose squared norm is not a
+    finite normal double is first divided by its largest entry; other rows keep their bits."""
+    with np.errstate(over="ignore"):
+        sq = np.add.reduce(th * th, axis=1, keepdims=True)
+    norms = sq.ravel().tolist()  # Python's min and max are cheaper on a few values
+    if _TINY <= min(norms) and max(norms) < math.inf:
+        return th / np.sqrt(sq)  # the 1e-300 floor of _normalize_rows is inactive here
+    top = np.abs(th).max(axis=1, keepdims=True)
+    odd = ~((_TINY <= sq) & (sq < np.inf)) & (0.0 < top) & (top < np.inf)
+    return _normalize_rows(th / np.where(odd, top, 1.0))
 
 
 def grid_directions(d: int, resolution: int) -> np.ndarray:
@@ -181,7 +195,7 @@ class _AnalyticObjective:
     The value is exact in closed form. With x~ the sample sorted along theta,
     m = <theta, mean>, s^2 = theta^T Sigma theta, c_i = x~_i - m and g the
     block integrals of Phi^-1 (ot1d._normal_quantile_blocks, built once per n
-    without scipy),
+    from the standard library's normal quantile),
 
         W_2^2 = mean(c^2) - 2 s sum_i g_i c_i + s^2,
 
@@ -249,9 +263,7 @@ def _collect_starts(objective, pooled: np.ndarray, mean_diff: np.ndarray,
                     extra_axes: np.ndarray | None, opts: OptimizerOpts, rng: RngStream):
     """Random restarts plus seed directions, as unit rows; non-finite and zero seeds are dropped."""
     d = pooled.shape[1]
-    rows = [
-        rng.child(r).generator().standard_normal(d) for r in range(opts.restarts)
-    ]
+    rows = [rng.child(r).generator().standard_normal(d) for r in range(opts.restarts)]
     centered = pooled - pooled.mean(axis=0)
     if pooled.shape[0] > 1:
         _, vecs = np.linalg.eigh(centered.T @ centered)
@@ -264,18 +276,12 @@ def _collect_starts(objective, pooled: np.ndarray, mean_diff: np.ndarray,
         rows.append(dirs[int(np.argmax(_value_on_grid(objective, dirs)))])
     # an overflowed scatter matrix gives NaN axes, and argmax would prefer a NaN value
     rows = np.asarray(rows)
-    rows = rows[np.isfinite(rows).all(axis=1) & rows.any(axis=1)]
-    # a row whose squared norm overflows would normalize to zero, and one whose
-    # squared norm underflows to a huge row, so each is first scaled by its largest entry
-    sq = np.add.reduce(rows * rows, axis=1)
-    odd = ~(np.isfinite(sq) & (sq >= np.finfo(np.float64).tiny))
-    rows[odd] /= np.abs(rows[odd]).max(axis=1, keepdims=True)
-    return _normalize_rows(rows)
+    return _unit_rows(rows[np.isfinite(rows).all(axis=1) & rows.any(axis=1)])
 
 
 def _tangent(v: np.ndarray, th: np.ndarray) -> np.ndarray:
     """The rows of v projected onto the tangent spaces at the unit rows of th, normalised."""
-    return _normalize_rows(v - np.einsum("rd,rd->r", v, th)[:, None] * th)
+    return _unit_rows(v - np.einsum("rd,rd->r", v, th)[:, None] * th)
 
 
 def _ascend(objective, starts: np.ndarray, opts: OptimizerOpts):

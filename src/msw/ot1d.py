@@ -16,91 +16,6 @@ import numpy as np
 from .errors import DomainError, NumericError, check_order, check_vs_truth_order
 from .measures import as_samples
 
-# cephes ndtri (S. Moshier, Methods and Programs for Mathematical Functions,
-# 1989), the algorithm of scipy's ndtri. P/Q are rational approximations,
-# coefficients from the highest power down.
-# central branch, exp(-2) < u < 1 - exp(-2):
-_NDTRI_P0 = (
-    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-    1.39312609387279679503e1, -1.23916583867381258016e0,
-)
-_NDTRI_Q0 = (
-    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-    1.59056225126211695515e1, -1.18331621121330003142e0,
-)
-# tails, y = min(u, 1 - u) and x = sqrt(-2 log y) in [2, 8):
-_NDTRI_P1 = (
-    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
-)
-_NDTRI_Q1 = (
-    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
-)
-# x in [8, 64):
-_NDTRI_P2 = (
-    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
-)
-_NDTRI_Q2 = (
-    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-    2.89247864745380683936e-6, 6.79019408009981274425e-9,
-)
-_EXP_M2 = 0.13533528323661269189  # exp(-2), where the central branch ends
-_SQRT_2PI = 2.50662827463100050242
-
-
-def _horner(x: np.ndarray, coefs) -> np.ndarray:
-    """The polynomial with coefficients coefs, highest power first, at x, in
-    cephes polevl's order; with a leading 1 its first step is x + coefs[1],
-    exactly as in p1evl."""
-    acc = np.full_like(x, coefs[0])
-    for c in coefs[1:]:
-        acc = acc * x + c
-    return acc
-
-
-def _libm_log(a: np.ndarray) -> np.ndarray:
-    """log of a 1-d array through the C library, as cephes takes it; numpy's
-    SIMD log differs from it in the last bit on some inputs."""
-    return np.fromiter(map(math.log, a.tolist()), np.float64, a.size)
-
-
-def _ndtri(u) -> np.ndarray:
-    """The standard normal quantile Phi^-1(u), elementwise.
-
-    A vectorised port of cephes ndtri, with its branches, constants,
-    evaluation order and C-library logarithm, so that it reproduces scipy's
-    ndtri bit for bit. Gives -inf at 0, +inf at 1 and nan outside [0, 1].
-    """
-    u = np.asarray(u, dtype=np.float64)
-    out = np.full(u.shape, np.nan)
-    out[u == 0.0] = -np.inf
-    out[u == 1.0] = np.inf
-    upper = u > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - u, u)
-    mid = y > _EXP_M2
-    ym = y[mid] - 0.5
-    y2 = ym * ym
-    out[mid] = (ym + ym * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0))) * _SQRT_2PI
-    tail = (y > 0.0) & ~mid
-    x = np.sqrt(-2.0 * _libm_log(y[tail]))
-    x0 = x - _libm_log(x) / x
-    z = 1.0 / x
-    x1 = np.where(
-        x < 8.0,
-        z * _horner(z, _NDTRI_P1) / _horner(z, _NDTRI_Q1),
-        z * _horner(z, _NDTRI_P2) / _horner(z, _NDTRI_Q2),
-    )
-    x = x0 - x1
-    out[tail] = np.where(upper[tail], x, -x)
-    return out
-
 
 def _ndtr(t) -> np.ndarray:
     """The standard normal cdf Phi(t), elementwise, from scipy.special; the
@@ -213,9 +128,12 @@ def w1d_empirical(xs, ys, p: float) -> float:
 def _normal_quantile_blocks(n: int) -> np.ndarray:
     """The integrals g_i = phi(z_{i-1}) - phi(z_i) of the standard normal
     quantile Phi^-1 over the n blocks ((i-1)/n, i/n], with z_i = Phi^-1(i/n)
-    and phi(z_0) = phi(z_n) = 0. Cached per n and read-only."""
+    and phi(z_0) = phi(z_n) = 0. Cached per n and read-only. z_i is the standard
+    library's NormalDist().inv_cdf (Wichura's AS 241), imported here alone."""
+    from statistics import NormalDist
+
     pdf = np.zeros(n + 1)
-    z = _ndtri(np.arange(1, n) / n)
+    z = np.fromiter(map(NormalDist().inv_cdf, np.arange(1, n) / n), np.float64, n - 1)
     pdf[1:-1] = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     g = pdf[:-1] - pdf[1:]
     g.flags.writeable = False

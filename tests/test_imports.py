@@ -9,9 +9,11 @@ msw.errors and nothing else of msw, and no numpy.
 
 scipy is loaded on first use too: importing msw and running `msw compute` load
 no scipy submodule, and each function that needs scipy imports it itself.
-The normal quantile is msw's own, so the vs-truth objective and the
-two-sample and RKHS runs never load scipy.special; the normal cdf (the ratio
-statistic, gaussian_law's cdf) still comes from it.
+The normal quantile is the standard library's (statistics.NormalDist,
+imported only where the vs-truth table of its block integrals is built), so
+the vs-truth objective and the two-sample and RKHS runs never load
+scipy.special, and `msw compute` loads neither; the normal cdf (the ratio
+statistic, gaussian_law's cdf) still comes from scipy.special.
 
 Every check runs in a fresh interpreter, since the test process has numpy and
 scipy loaded already (the other test modules import them at their top).
@@ -193,7 +195,7 @@ def test_compute_loads_only_what_it_runs(tmp_path):
     np.savetxt(tmp_path / "y.csv", rng.standard_normal((20, 2)) + 1.0, delimiter=",")
     (tmp_path / "ragged.csv").write_text("x1,x2\n0.1,0.2\n0.3\n")
     unwanted = ("msw.harness", "msw.ratio", "msw.bounds", "concurrent.futures.process",
-                "numpy.polynomial")
+                "numpy.polynomial", "statistics")
     code = f"""
 import json, sys
 import msw.cli

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from msw.maxsliced import (
     _run_search,
     _tangent,
     _TwoSampleObjective,
+    _unit_rows,
     _value_on_grid,
     grid_directions,
 )
@@ -372,22 +374,42 @@ def _reference_normalize_rows(th):
     return th / np.maximum(np.linalg.norm(th, axis=1, keepdims=True), 1e-300)
 
 
+def _reference_unit_rows(th):
+    """Each nonzero row whose squared norm is not a finite normal double divided
+    by its largest entry, then every row normalised."""
+    with np.errstate(over="ignore"):
+        sq = np.sum(th * th, axis=1)
+    odd = ~(np.isfinite(sq) & (sq >= np.finfo(np.float64).tiny)) & th.any(axis=1)
+    th = th.copy()
+    th[odd] /= np.abs(th[odd]).max(axis=1, keepdims=True)
+    return _reference_normalize_rows(th)
+
+
 def _reference_tangent(v, th):
-    return _reference_normalize_rows(v - np.einsum("rd,rd->r", v, th)[:, None] * th)
+    return _reference_unit_rows(v - np.einsum("rd,rd->r", v, th)[:, None] * th)
 
 
 @pytest.mark.parametrize("r,d", [(1, 1), (1, 8), (7, 2), (7, 30), (13, 300)])
 def test_row_helpers_match_the_linalg_norm_forms(r, d):
     rng = np.random.default_rng(10 * r + d)
-    for scale in (1.0, 1e-160, 1e150):
+    # squared norms: normal at 1 and 1e150, subnormal or zero at 1e-160, overflowing at 1e160
+    for scale in (1.0, 1e-160, 1e150, 1e160):
         v = scale * rng.normal(size=(r, d))
         th = _reference_normalize_rows(rng.normal(size=(r, d)))
         with_zero = v.copy()
         with_zero[-1] = 0.0
         for w in (v, with_zero):
-            assert np.array_equal(_normalize_rows(w), _reference_normalize_rows(w))
+            if scale < 1e160:
+                assert np.array_equal(_normalize_rows(w), _reference_normalize_rows(w))
+            assert np.array_equal(_unit_rows(w), _reference_unit_rows(w))
             assert np.array_equal(_tangent(w, th), _reference_tangent(w, th))
-        assert not np.any(_normalize_rows(with_zero)[-1])
+        if scale < 1e160:
+            assert not np.any(_normalize_rows(with_zero)[-1])
+        assert not np.any(_unit_rows(with_zero)[-1])
+        assert np.all(np.abs(np.linalg.norm(_unit_rows(v), axis=1) - 1.0) < 1e-12)
+        if scale in (1.0, 1e150):
+            # where every squared norm is normal, _unit_rows is _normalize_rows bit for bit
+            assert np.array_equal(_unit_rows(v), _normalize_rows(v))
 
 
 def _reference_ascend(objective, starts, opts):
@@ -462,6 +484,19 @@ def test_every_start_has_unit_norm_when_a_squared_norm_overflows():
         starts = _collect_starts(objective, pooled, mean_diff, None, opts, RngStream(5))
         rows = [RngStream(5).child(r).generator().standard_normal(pooled.shape[1]) for r in range(6)]
         assert np.array_equal(starts[:6], _normalize_rows(np.asarray(rows))), name
+
+
+def test_the_ascent_moves_where_the_squared_gradients_overflow():
+    # the gradients of data near 2^500 reach 2^1000, whose squares overflow;
+    # the tangent steps scale them first, so the search runs as unscaled
+    x = np.random.default_rng(0).standard_normal((200, 3))
+    base = msw_vs_analytic(x, Gaussian(np.zeros(3), np.eye(3)), 2.0)
+    c = 2.0**500
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = msw_vs_analytic(c * x, Gaussian(np.zeros(3), c * c * np.eye(3)), 2.0)
+    assert big.iterations > _PATIENCE
+    assert big.value / c == pytest.approx(base.value, rel=2e-3)
 
 
 def test_the_mean_difference_seed_does_not_depend_on_the_scale():

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtri
 
 from msw import DomainError, NumericError, gaussian_law, project, w1d_empirical, w1d_vs_cdf
-from msw.harness import DEFAULT_N_GRID
-from msw.ot1d import _ndtri, quantile_blocks
+from msw.ot1d import _normal_quantile_blocks, quantile_blocks
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0)
 small_samples = st.lists(finite_floats, min_size=1, max_size=9).map(sorted)
@@ -179,7 +177,7 @@ def test_gaussian_law_roundtrip_invariant():
     t = np.linspace(-6.0, 9.0, 100)
     u = law.cdf(t)
     strict = (u > 1e-14) & (u < 1.0 - 1e-14)
-    assert np.max(np.abs(law.mean + law.sd * _ndtri(u[strict]) - t[strict])) < 1e-8
+    assert np.max(np.abs(law.mean + law.sd * ndtri(u[strict]) - t[strict])) < 1e-8
     assert np.all(np.diff(u) >= 0.0)
 
 
@@ -189,50 +187,17 @@ def test_vs_cdf_non_finite_quantiles_are_a_numeric_error():
             w1d_vs_cdf([0.0], gaussian_law(mean, 1.0), 2.0)
 
 
-# the sample sizes of the default rate grid, plus the edges of the block grid
-NDTRI_SIZES = sorted(set(DEFAULT_N_GRID) | {1, 2, 3, 6000})
+def test_normal_quantile_blocks_match_the_scipy_ndtri_table():
+    # g_i = phi(z_{i-1}) - phi(z_i), z_i = Phi^-1(i/n), rebuilt from scipy's ndtri
+    def reference(n):
+        pdf = np.zeros(n + 1)
+        z = ndtri(np.arange(1, n) / n)
+        pdf[1:-1] = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return pdf[:-1] - pdf[1:]
 
-
-def quadrature_nodes(n: int, k: int) -> np.ndarray:
-    """k Gauss-Legendre nodes in each block ((i-1)/n, i/n], its edges clipped
-    to [1e-12, 1 - 1e-12]: points across every block, down to the far tails."""
-    edges = np.clip(np.arange(n + 1) / n, 1e-12, 1.0 - 1e-12)
-    lo, hi = edges[:-1], edges[1:]
-    t, _ = leggauss(k)
-    return (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t).ravel()
-
-
-def test_ndtri_matches_scipy_on_the_block_grid_and_nodes():
-    # the quantiles every statistic is computed from are bit-identical
-    mismatched = [n for n in [*range(1, 1601), 6000]
-                  if not np.array_equal(_ndtri(np.arange(1, n) / n), ndtri(np.arange(1, n) / n))]
-    mismatched += [(n, k) for n in NDTRI_SIZES for k in (8, 32)
-                   if not np.array_equal(_ndtri(quadrature_nodes(n, k)), ndtri(quadrature_nodes(n, k)))]
-    assert mismatched == []
-
-
-def test_ndtri_within_4_ulp_of_scipy():
-    rng = np.random.default_rng(17)
-    u = np.concatenate([
-        rng.random(400_000),
-        10.0 ** rng.uniform(-300.0, -1.0, 300_000),
-        1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 300_000),
-        *(quadrature_nodes(n, k) for n in NDTRI_SIZES for k in (8, 32)),
-    ])
-    ours, ref = _ndtri(u), ndtri(u)
-    finite = np.isfinite(ref)
-    assert np.array_equal(np.isfinite(ours), finite)
-    ulps = np.abs(ours[finite] - ref[finite]) / np.spacing(np.abs(ref[finite]))
-    assert ulps.max() <= 4.0
-
-
-def test_ndtri_edges_match_scipy():
-    u = np.array([0.0, -0.0, 1.0, -1e-300, -1.0, 1.0 + 2.0**-52, 2.0, np.inf, -np.inf, np.nan])
-    out = _ndtri(u)
-    assert out[0] == out[1] == -np.inf
-    assert out[2] == np.inf
-    assert np.all(np.isnan(out[3:]))
-    np.testing.assert_array_equal(out, ndtri(u))
+    far = [n for n in [*range(1, 1601), 6000]
+           if not np.max(np.abs(_normal_quantile_blocks(n) - reference(n))) <= 1e-15]
+    assert far == []
 
 
 def reference_quantile_blocks(n: int, m: int):
