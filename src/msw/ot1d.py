@@ -149,11 +149,15 @@ def w1d_vs_cdf(xs, law: AnalyticCdf1d, p: float) -> float:
 
     This is the certificate of the analytic objective of msw.maxsliced, which
     evaluates the same form per direction. p must be 2: msw computes no other
-    order against a Gaussian law, and any other p is a DomainError.
+    order against a Gaussian law, and any other p is a DomainError. A distance
+    that overflows is a NumericError.
     """
     check_vs_truth_order(p)
     x = as_sorted_sample(xs)
     if not (math.isfinite(law.mean) and math.isfinite(law.sd)):
         raise NumericError(f"quantiles of N({law.mean!r}, {law.sd!r}^2) are not finite")
     c, s = x - law.mean, law.sd
-    return math.sqrt(max(np.mean(c * c) - 2.0 * s * (_normal_quantile_blocks(x.size) @ c) + s * s, 0.0))
+    value = math.sqrt(max(np.mean(c * c) - 2.0 * s * (_normal_quantile_blocks(x.size) @ c) + s * s, 0.0))
+    if not math.isfinite(value):
+        raise NumericError("the W_2 distance to the Gaussian law is not finite (overflow)")
+    return value

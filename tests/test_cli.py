@@ -330,7 +330,10 @@ def test_projection_overflow_exits_3(tmp_path, capsys):
     ([[1e308], [0.0], [0.0]], [[-1e308], [0.0], [0.0]]),
     # the projections are finite, |x - y|^2 is not
     ([[1e200, 0.0], [1e200, 1.0], [1e200, 2.0]], [[-1e200, 0.0], [-1e200, 1.0], [-1e200, 2.0]]),
-], ids=["d1", "d2"])
+    # entries near 1e153: the scatter matrix of the principal-axis seeds overflows too
+    (2.0**510 * np.random.default_rng(0).standard_normal((200, 3)),
+     2.0**510 * (np.random.default_rng(1).standard_normal((200, 3)) + 0.3)),
+], ids=["d1", "d2", "d3_scatter"])
 def test_a_non_finite_distance_exits_3(tmp_path, capsys, xs, ys):
     x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
     write_samples(x_path, np.array(xs))

@@ -12,6 +12,8 @@ from scipy.special import ndtri
 from msw import (
     DomainError,
     Gaussian,
+    KernelSpec,
+    NumericError,
     OptimizerOpts,
     RngStream,
     ScaleError,
@@ -24,6 +26,8 @@ from msw import (
     w1d_vs_cdf,
     wasserstein_full,
 )
+from msw import maxsliced
+from msw.measures import RkhsPushforward, sample
 from msw.ot1d import AnalyticCdf1d
 from msw.maxsliced import (
     _GRID_BLOCK,
@@ -43,7 +47,7 @@ from msw.maxsliced import (
     _value_on_grid,
     grid_directions,
 )
-from msw.ratio import _RatioObjective
+from msw.ratio import _RatioObjective, ratio_sup
 
 FAST = OptimizerOpts(restarts=8, max_iters=120)
 
@@ -822,6 +826,68 @@ def _shifted_pair(seed, n, d):
     y = g.normal(size=(n, d))
     y[:, 0] = 1.0 + 1.5 * y[:, 0]
     return g.normal(size=(n, d)), y
+
+
+def _stall_threshold_trials():
+    """vs_truth-style and rkhs-style searches as (kind, result), on fixed draws."""
+    for d in (8, 30):
+        for n in (200, 1600):
+            for trial in range(2):
+                x = np.random.default_rng([d, n, trial]).standard_normal((n, d))
+                spec = Gaussian(np.zeros(d), np.eye(d))
+                yield "vs_truth", msw_vs_analytic(x, spec, 2.0, rng=RngStream(trial))
+    spec = RkhsPushforward(KernelSpec(4.0, 1.0), 1.0, 30)
+    for n in (200, 800):
+        for trial in range(3):
+            xs = sample(spec, n, RngStream(n, 2 * trial))
+            ys = sample(spec, n, RngStream(n, 2 * trial + 1))
+            yield "rkhs", msw_empirical(xs, ys, 2.0, rng=RngStream(trial))
+
+
+def test_the_stall_threshold_keeps_the_values_the_experiments_resolve(monkeypatch):
+    # a rate mean's standard error is 1.3-14% of the mean, and the search lands
+    # within about 1e-3 of the sup; the default threshold, against a ten times
+    # tighter one, moves no value by more than that, for fewer iterations
+    default = list(_stall_threshold_trials())
+    monkeypatch.setattr(maxsliced, "_TOL", 1e-7)
+    tight = list(_stall_threshold_trials())
+    for (kind, res), (_, ref) in zip(default, tight):
+        if kind == "vs_truth":
+            # the same ascent path, stopped earlier
+            assert res.value == pytest.approx(ref.value, rel=1e-5)
+        else:
+            # the earlier stop can end on another local maximum of the flat top
+            assert res.value >= ref.value * (1.0 - 1e-3)
+    assert sum(r.iterations for _, r in default) < sum(r.iterations for _, r in tight)
+
+
+def test_data_whose_scatter_overflows_search_without_the_principal_axes():
+    x = np.random.default_rng(0).standard_normal((200, 3))
+    y = np.random.default_rng(1).standard_normal((200, 3)) + 0.3
+    cov = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
+    pooled = np.vstack([x, y])
+    objective = _TwoSampleObjective(x, y, 2.0)
+    unscaled = _collect_starts(objective, pooled, x.mean(0) - y.mean(0), None, OptimizerOpts(),
+                               RngStream(0))
+    # at 2^500 the scatter matrix is finite and the starts keep their three axes
+    c = 2.0**500
+    starts = _collect_starts(_TwoSampleObjective(c * x, c * y, 2.0), c * pooled,
+                             c * (x.mean(0) - y.mean(0)), None, OptimizerOpts(), RngStream(0))
+    assert starts.shape == unscaled.shape
+    # at 2^510 it overflows, and eigh would fail on it
+    c = 2.0**510
+    with np.errstate(all="ignore"):
+        starts = _collect_starts(_TwoSampleObjective(c * x, c * y, 2.0), c * pooled,
+                                 c * (x.mean(0) - y.mean(0)), None, OptimizerOpts(), RngStream(0))
+        assert starts.shape[0] == unscaled.shape[0] - 3
+        assert np.array_equal(starts[:6], unscaled[:6])
+        # the distances themselves overflow: a NumericError, not a LinAlgError
+        with pytest.raises(NumericError, match="not finite"):
+            msw_empirical(c * x, c * y, 2.0)
+        with pytest.raises(NumericError, match="not finite"):
+            msw_vs_analytic(c * x, Gaussian(np.zeros(3), c * c * cov), 2.0)
+        value = ratio_sup(c * x, Gaussian(np.zeros(3), c * c * cov)).value
+    assert math.isfinite(value) and 0.0 < value
 
 
 def test_search_stops_on_the_stall_rule():
