@@ -19,13 +19,12 @@ _EXPORTS = {
                 "run_ratio_experiment"),
     "maxsliced": ("MswResult", "OptimizerOpts", "msw_empirical", "msw_grid_oracle",
                   "msw_vs_analytic", "wasserstein_full"),
-    "measures": ("Gaussian", "ParetoProduct", "RkhsPushforward", "RngStream", "moment_bound",
-                 "moment_empirical", "sample"),
-    "ot1d": ("AnalyticCdf1d", "gaussian_law", "project", "w1d_empirical", "w1d_vs_cdf"),
+    "measures": ("Gaussian", "ParetoProduct", "RkhsPushforward", "RngStream", "sample"),
+    "ot1d": ("AnalyticCdf1d", "project", "w1d_empirical", "w1d_vs_cdf"),
     "ratio": ("RatioStatResult", "ratio_fixed_direction", "ratio_sup", "shatter_count"),
     "rkhs": ("AssumptionReport", "KernelSpec", "SpectrumReport", "check_assumptions",
-             "check_spectrum", "eigenfunction", "eigenvalue", "eigenvalue_bounds",
-             "eigenvalues", "feature_coords"),
+             "check_spectrum", "eigenvalue", "eigenvalue_bounds", "eigenvalues",
+             "feature_coords"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

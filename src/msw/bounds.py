@@ -115,16 +115,14 @@ def expectation_bound_poly_decay(params: BoundParams, n: int) -> float:
     return params.C_user * ln ** (params.p / params.s) / n ** (0.5 - 1.0 / (2.0 * params.p * gamma))
 
 
-def vc_bound(n: int, d: int, two_sided: bool = False) -> int:
+def vc_bound(n: int, d: int) -> int:
     """Polynomial shatter bound (n+1)^(d+1) for halfspaces in dimension d.
 
-    two_sided doubles the exponent, covering halfspaces together with their
-    complements. Exact integer arithmetic, so no overflow at any scale.
+    Exact integer arithmetic, so no overflow at any scale.
     """
     if n < 1 or d < 1:
         raise DomainError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    exponent = (2 if two_sided else 1) * (d + 1)
-    return (n + 1) ** exponent
+    return (n + 1) ** (d + 1)
 
 
 def ratio_tail_bound(n: int, d: int, eps: float) -> BoundValue:

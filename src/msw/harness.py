@@ -432,16 +432,14 @@ def run_ratio_experiment(config: ExperimentConfig, threads: int = 1) -> RatioTab
     )
 
 
-def fit_loglog_slope(curve: RateCurve, n_min: int = 0) -> tuple[float, float, float]:
-    """OLS fit of log(mean) on log(n) over rows with n >= n_min and mean > 0.
+def fit_loglog_slope(curve: RateCurve) -> tuple[float, float, float]:
+    """OLS fit of log(mean) on log(n) over the rows with mean > 0.
 
     Returns (slope, intercept, r_squared); needs at least 3 usable rows.
     """
-    keep = (curve.n >= n_min) & (curve.mean > 0.0)
+    keep = curve.mean > 0.0
     if int(np.sum(keep)) < 3:
-        raise DomainError(
-            f"slope fit needs >= 3 rows with n >= {n_min} and positive mean, got {int(np.sum(keep))}"
-        )
+        raise DomainError(f"slope fit needs >= 3 rows with positive mean, got {int(np.sum(keep))}")
     lx = np.log(curve.n[keep].astype(np.float64))
     ly = np.log(curve.mean[keep])
     slope, intercept = np.polyfit(lx, ly, 1)

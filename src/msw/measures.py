@@ -1,4 +1,4 @@
-"""Source measures: distribution specifications, seeded samplers, and moments."""
+"""Source measures: distribution specifications and seeded samplers."""
 from __future__ import annotations
 
 import math
@@ -171,27 +171,3 @@ def sample(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
         raise NumericError(f"a draw of {n} points from the {type(spec).__name__} spec overflowed")
     return draw
 
-
-def moment_empirical(samples, s: float) -> float:
-    """Empirical s-th moment of the Euclidean norm, (1/n) sum ||x_i||^s."""
-    if not s >= 1.0:
-        raise DomainError(f"moment order must be >= 1, got {s}")
-    arr = as_samples(samples)
-    return float(np.mean(np.linalg.norm(arr, axis=1) ** s))
-
-
-def moment_bound(spec: DistributionSpec, s: float) -> float:
-    """Closed-form upper bound on the s-th norm moment; inf when it diverges.
-
-    Supported specs: standard Gaussian N(0, I_d) and Pareto products. The
-    Pareto moment is infinite for s >= shape.
-    """
-    if isinstance(spec, Gaussian):
-        if not (np.all(spec.mean == 0.0) and np.array_equal(spec.cov, np.eye(spec.dim))):
-            raise SpecError("Gaussian moment bound is available for N(0, I) only")
-        return spec.dim**s * 2.0 ** (s / 2.0) * math.gamma((s + 1.0) / 2.0) / math.sqrt(math.pi)
-    if isinstance(spec, ParetoProduct):
-        if s >= spec.shape:
-            return math.inf
-        return spec.d**s * spec.shape / (spec.shape - s)
-    raise SpecError(f"no closed-form moment bound for {type(spec).__name__}")

@@ -63,19 +63,12 @@ class AnalyticCdf1d:
         return _ndtr((np.asarray(t, dtype=np.float64) - self.mean) / self.sd)
 
 
-def gaussian_law(mean: float, var: float) -> AnalyticCdf1d:
-    """N(mean, var) as an AnalyticCdf1d; var may be tiny but must be positive."""
-    if not var > 0.0:
-        raise DomainError(f"variance must be positive, got {var}")
-    return AnalyticCdf1d(mean, float(np.sqrt(var)))
-
-
 def _projected_law(spec, theta: np.ndarray) -> AnalyticCdf1d:
     """The law of <theta, X> for X ~ N(spec.mean, spec.cov). The variance is
     floored at 1e-300, so a direction in the covariance's null space gives a
     near point mass, not an error."""
     var = float(theta @ spec.cov @ theta)
-    return gaussian_law(float(theta @ spec.mean), max(var, 1e-300))
+    return AnalyticCdf1d(float(theta @ spec.mean), math.sqrt(max(var, 1e-300)))
 
 
 @lru_cache(maxsize=512)

@@ -20,23 +20,14 @@ from .ot1d import AnalyticCdf1d, _ndtr, _projected_law, project
 # ratio_sup's sweep runs up to this many points at d = 2; above it the search
 # is faster (the sweep costs O(n^2 log n), timings in BENCH_21.json)
 SWEEP_MAX_N = 300
-_BRANCH_TRUTH = "truth_minus_empirical"      # (F - F_n) / sqrt(F)
-_BRANCH_EMPIRICAL = "empirical_minus_truth"  # (F_n - F) / sqrt(F_n)
 
 
 @dataclass(frozen=True)
 class RatioStatResult:
-    """Value and argmax of the self-normalized cdf deviation statistic.
-
-    side records whether the sup is attained at the jump point itself ("at",
-    empirical cdf value i/n) or in the left limit ("left", value (i-1)/n).
-    """
+    """Value and argmax direction of the self-normalized cdf deviation statistic."""
 
     value: float
     arg_theta: np.ndarray
-    arg_t: float
-    branch: str
-    side: str = "at"
 
 
 def _best_piece(f: np.ndarray, fn: np.ndarray):
@@ -59,21 +50,16 @@ def ratio_fixed_direction(xs, theta, law: AnalyticCdf1d) -> RatioStatResult:
     limits at every sorted projection value: the monotone pieces between
     jumps take their extremes at those endpoints. The Gaussian law has no
     atoms, so both limits share its cdf value F(t_i); the left limit pairs it
-    with F_n(t_i-) = (i-1)/n.
+    with F_n(t_i-) = (i-1)/n. A law without a finite mean and a positive,
+    finite sd is a DomainError.
     """
+    if not (0.0 < law.sd < math.inf and math.isfinite(law.mean)):
+        raise DomainError(f"the law needs a finite mean and a positive, finite sd, "
+                          f"got mean {law.mean!r}, sd {law.sd!r}")
     t = project(xs, theta)
-    f = law.cdf(t)
     fn = (np.arange(t.size + 1) / t.size)[:, None]
-    value, row, left = _best_piece(f[:, None], fn)
-    i, left = int(row[0]), bool(left[0])
-    f_star = f[i]
-    return RatioStatResult(
-        value=float(value[0]),
-        arg_theta=np.asarray(theta, dtype=np.float64),
-        arg_t=float(t[i]),
-        branch=_BRANCH_TRUTH if f_star >= fn[i + 1 - left, 0] else _BRANCH_EMPIRICAL,
-        side="left" if left else "at",
-    )
+    value = _best_piece(law.cdf(t)[:, None], fn)[0]
+    return RatioStatResult(float(value[0]), np.asarray(theta, dtype=np.float64))
 
 
 class _RatioObjective:

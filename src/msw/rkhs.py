@@ -1,7 +1,7 @@
 """Gaussian-kernel eigensystem under a Gaussian base measure.
 
-Closed-form eigenvalues, numerically stable eigenfunction evaluation through
-orthonormal Hermite functions, truncated feature coordinates, and
+Closed-form eigenvalues, truncated feature coordinates whose eigenfunctions
+are evaluated stably through orthonormal Hermite functions, and
 quadrature-based verification of orthonormality and the eigen-relations.
 """
 from __future__ import annotations
@@ -122,20 +122,6 @@ def _psi_parts(kernel: KernelSpec, z: np.ndarray, jmax: int) -> tuple[np.ndarray
         )
     h = _hermite_functions(math.sqrt(2.0 * kernel.c) * z, jmax)
     return h, (kernel.c / kernel.a) ** 0.25 * math.pi**0.25 * np.exp(arg)
-
-
-def eigenfunction(kernel: KernelSpec, j: int, z) -> float | np.ndarray:
-    """j-th eigenfunction psi_j(z), stable for all reachable j.
-
-    Uses psi_j(z) = (c/a)^{1/4} pi^{1/4} exp(a z^2) h_j(sqrt(2c) z) where h_j
-    is the orthonormal Hermite function; this avoids the 2^j j! blowup of the
-    raw Hermite-polynomial form.
-    """
-    if j < 0:
-        raise DomainError(f"eigenfunction index must be >= 0, got {j}")
-    h, pref = _psi_parts(kernel, np.atleast_1d(np.asarray(z, dtype=np.float64)), j)
-    vals = pref * h[j]
-    return float(vals[0]) if np.isscalar(z) or np.ndim(z) == 0 else vals
 
 
 def feature_coords(kernel: KernelSpec, z, d_test: int) -> np.ndarray:

@@ -65,9 +65,10 @@ def test_fit_slope_needs_three_rows():
     curve = make_curve([50, 100], [0.5, 0.4])
     with pytest.raises(Exception):
         fit_loglog_slope(curve)
-    curve2 = make_curve([50, 100, 200, 400], [0.5, 0.4, 0.3, 0.2])
+    # four rows, two of them without a positive mean
+    curve2 = make_curve([50, 100, 200, 400], [0.5, 0.0, 0.3, -0.2])
     with pytest.raises(Exception):
-        fit_loglog_slope(curve2, n_min=300)
+        fit_loglog_slope(curve2)
 
 
 def test_emit_csv_format_contract(tmp_path):

@@ -13,7 +13,7 @@ The normal quantile is the standard library's (statistics.NormalDist,
 imported only where the vs-truth table of its block integrals is built), so
 the vs-truth objective and the two-sample and RKHS runs never load
 scipy.special, and `msw compute` loads neither; the normal cdf (the ratio
-statistic, gaussian_law's cdf) still comes from scipy.special.
+statistic, AnalyticCdf1d.cdf) still comes from scipy.special.
 
 Every check runs in a fresh interpreter, since the test process has numpy and
 scipy loaded already (the other test modules import them at their top).
@@ -123,11 +123,11 @@ PUBLIC_NAMES = [
     "OptimizerOpts", "Overlay", "ParetoProduct", "RateCurve", "RatioStatResult", "RatioTable",
     "RkhsPushforward", "RngStream", "ScaleError", "SpecError", "SpectrumReport",
     "UnsupportedDimensionError", "bounds", "check_assumptions", "check_spectrum",
-    "eigenfunction", "eigenvalue", "eigenvalue_bounds", "eigenvalues",
+    "eigenvalue", "eigenvalue_bounds", "eigenvalues",
     "emit", "errors", "expectation_bound_exp_decay",
     "expectation_bound_finite", "expectation_bound_poly_decay", "feature_coords",
-    "fit_loglog_slope", "gaussian_law", "harness", "load_rate_curve", "maxsliced", "measures",
-    "moment_bound", "moment_empirical", "msw_empirical", "msw_grid_oracle", "msw_vs_analytic",
+    "fit_loglog_slope", "harness", "load_rate_curve", "maxsliced", "measures",
+    "msw_empirical", "msw_grid_oracle", "msw_vs_analytic",
     "ot1d", "project", "ratio", "ratio_fixed_direction", "ratio_sup", "ratio_tail_bound",
     "rkhs", "run_rate_experiment", "run_ratio_experiment", "sample", "shatter_count",
     "vc_bound", "w1d_empirical", "w1d_vs_cdf", "wasserstein_full",
@@ -238,19 +238,19 @@ print(json.dumps(sorted(
 SITES = """
 import json, math, sys
 import numpy as np
-from msw import Gaussian, RngStream, gaussian_law, msw_vs_analytic, ratio_sup, wasserstein_full
+from msw import AnalyticCdf1d, Gaussian, RngStream, msw_vs_analytic, ratio_sup, wasserstein_full
 
 rng = np.random.default_rng(4)
 spec = Gaussian(np.zeros(2), np.eye(2))
 xs = rng.standard_normal((20, 2))
-law = gaussian_law(0.5, 2.0)
+law = AnalyticCdf1d(0.5, math.sqrt(2.0))
 calls = {
     "vs_analytic_p2": lambda: msw_vs_analytic(xs, spec, 2.0, rng=RngStream(1, 0)).value,
     "cdf": lambda: float(law.cdf(np.array([0.3]))[0]),
     "ratio_sup": lambda: ratio_sup(xs, spec, rng=RngStream(1, 2)).value,
     "wasserstein_full": lambda: wasserstein_full(xs[:8], rng.standard_normal((8, 2)), 2.0),
 }
-out = {"gaussian_law": [True, "scipy.special" in sys.modules]}
+out = {"law": [True, "scipy.special" in sys.modules]}
 for name in ORDER:
     value = calls[name]()
     out[name] = [math.isfinite(value), "scipy.special" in sys.modules]
@@ -263,13 +263,13 @@ def test_every_lazy_scipy_site_runs_in_a_fresh_interpreter(tmp_path):
     order = ["vs_analytic_p2", "cdf", "wasserstein_full"]
     out = run_fresh(f"ORDER = {order!r}\n{SITES}", tmp_path)
     assert out == {
-        "gaussian_law": [True, False],
+        "law": [True, False],
         "vs_analytic_p2": [True, False],
         "cdf": [True, True],
         "wasserstein_full": [True, True],
     }
     out = run_fresh(f"ORDER = ['ratio_sup']\n{SITES}", tmp_path)
-    assert out == {"gaussian_law": [True, False], "ratio_sup": [True, True]}
+    assert out == {"law": [True, False], "ratio_sup": [True, True]}
 
 
 POOL = """

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from msw import (
     DomainError,
@@ -14,8 +12,6 @@ from msw import (
     RkhsPushforward,
     RngStream,
     SpecError,
-    moment_bound,
-    moment_empirical,
     sample,
 )
 
@@ -97,53 +93,6 @@ def test_nearly_singular_covariance_is_accepted():
     spec = Gaussian(np.zeros(2), np.outer(v, v))
     draws = sample(spec, 10, RngStream(1))
     assert np.all(np.isfinite(draws))
-
-
-@pytest.mark.parametrize(
-    "points,s,expected",
-    [([[3.0, 4.0]], 2.0, 25.0), ([[1.0, 0.0], [0.0, 1.0]], 2.0, 1.0), ([[1.0], [2.0], [3.0]], 1.0, 2.0)],
-)
-def test_moment_empirical_examples(points, s, expected):
-    assert moment_empirical(points, s) == pytest.approx(expected, rel=1e-12)
-
-
-def test_moment_bound_examples():
-    assert moment_bound(ParetoProduct(8.0, 2), 4.0) == pytest.approx(32.0)
-    assert moment_bound(ParetoProduct(8.0, 1), 8.0) == math.inf
-    assert moment_bound(Gaussian(np.zeros(1), np.eye(1)), 2.0) == pytest.approx(1.0)
-
-
-def test_moment_bound_unsupported_specs():
-    with pytest.raises(SpecError):
-        moment_bound(Gaussian(np.ones(2), np.eye(2)), 2.0)
-    with pytest.raises(SpecError):
-        moment_bound(RkhsPushforward(KernelSpec(4.0, 1.0), 1.0, 3), 2.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    c=st.floats(min_value=1e-3, max_value=1e3),
-    s=st.floats(min_value=1.0, max_value=6.0),
-)
-def test_moment_homogeneity(c, s):
-    rng = np.random.default_rng(17)
-    samples = rng.normal(size=(20, 3))
-    scaled = moment_empirical(c * samples, s)
-    base = moment_empirical(samples, s)
-    assert scaled == pytest.approx(c**s * base, rel=1e-12)
-
-
-def test_pareto_empirical_moment_converges_below_bound():
-    # d = 1, s = 4: the true moment equals the bound 8/(8-4) = 2
-    spec = ParetoProduct(8.0, 1)
-    bound = moment_bound(spec, 4.0)
-    deviations = []
-    for k, n in enumerate((100, 10_000, 1_000_000)):
-        m = moment_empirical(sample(spec, n, RngStream(42, k)), 4.0)
-        deviations.append(abs(m - 2.0))
-    assert deviations[2] < deviations[0]
-    assert deviations[2] < 0.1
-    assert moment_empirical(sample(spec, 1_000_000, RngStream(42, 2)), 4.0) <= bound * 1.05
 
 
 def test_a_draw_that_overflows_is_a_numeric_error():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from msw import DomainError, NumericError, gaussian_law, project, w1d_empirical, w1d_vs_cdf
+from msw import AnalyticCdf1d, DomainError, NumericError, project, w1d_empirical, w1d_vs_cdf
 from msw.ot1d import _normal_quantile_blocks, quantile_blocks
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0)
@@ -118,13 +118,13 @@ def test_an_infinite_order_is_a_domain_error():
         with pytest.raises(DomainError, match="order p must be finite and >= 1"):
             w1d_empirical([1.0], [2.0], p)
         with pytest.raises(DomainError, match="order p must be finite and >= 1"):
-            w1d_vs_cdf([1.0], gaussian_law(0.0, 1.0), p)
+            w1d_vs_cdf([1.0], AnalyticCdf1d(0.0, 1.0), p)
 
 
 @pytest.mark.parametrize("p", [1.0, 3.0, math.nan])
 def test_vs_cdf_takes_p_2_only(p):
     with pytest.raises(DomainError):
-        w1d_vs_cdf([1.0], gaussian_law(0.0, 1.0), p)
+        w1d_vs_cdf([1.0], AnalyticCdf1d(0.0, 1.0), p)
 
 
 @pytest.mark.parametrize(
@@ -148,22 +148,22 @@ def test_vs_cdf_absolute_moment_of_standard_normal():
     # the two points +-E|Z| are the means of N(0, 1) on its two half lines, so
     # W_2^2 is what they leave of the variance: 1 - (E|Z|)^2 = 1 - 2/pi
     m = math.sqrt(2.0 / math.pi)
-    assert w1d_vs_cdf([-m, m], gaussian_law(0.0, 1.0), 2.0) ** 2 == pytest.approx(1.0 - 2.0 / math.pi, rel=1e-14)
+    assert w1d_vs_cdf([-m, m], AnalyticCdf1d(0.0, 1.0), 2.0) ** 2 == pytest.approx(1.0 - 2.0 / math.pi, rel=1e-14)
 
 
 def test_vs_cdf_second_moment_and_shift():
     # point at the mean of N(5, 1): W_2^2 equals the variance; shifted by 3, it adds 3^2
-    assert w1d_vs_cdf([5.0], gaussian_law(5.0, 1.0), 2.0) == 1.0
-    assert w1d_vs_cdf([8.0], gaussian_law(5.0, 1.0), 2.0) == math.sqrt(10.0)
+    assert w1d_vs_cdf([5.0], AnalyticCdf1d(5.0, 1.0), 2.0) == 1.0
+    assert w1d_vs_cdf([8.0], AnalyticCdf1d(5.0, 1.0), 2.0) == math.sqrt(10.0)
 
 
 def test_vs_cdf_narrow_law_is_near_zero():
     # one point at the mean: the distance is the sd
-    assert w1d_vs_cdf([0.0], gaussian_law(0.0, 1e-18), 2.0) == pytest.approx(1e-9, rel=1e-15)
+    assert w1d_vs_cdf([0.0], AnalyticCdf1d(0.0, math.sqrt(1e-18)), 2.0) == pytest.approx(1e-9, rel=1e-15)
 
 
 def test_vs_cdf_quantile_grid_shrinks():
-    law = gaussian_law(0.0, 1.0)
+    law = AnalyticCdf1d(0.0, 1.0)
     values = []
     for n in (20, 80, 320):
         xs = np.sort(ndtri((np.arange(n) + 0.5) / n))
@@ -173,7 +173,7 @@ def test_vs_cdf_quantile_grid_shrinks():
 
 
 def test_gaussian_law_roundtrip_invariant():
-    law = gaussian_law(1.5, 4.0)
+    law = AnalyticCdf1d(1.5, 2.0)
     t = np.linspace(-6.0, 9.0, 100)
     u = law.cdf(t)
     strict = (u > 1e-14) & (u < 1.0 - 1e-14)
@@ -184,7 +184,7 @@ def test_gaussian_law_roundtrip_invariant():
 def test_vs_cdf_non_finite_quantiles_are_a_numeric_error():
     for mean in (math.inf, math.nan):
         with pytest.raises(NumericError):
-            w1d_vs_cdf([0.0], gaussian_law(mean, 1.0), 2.0)
+            w1d_vs_cdf([0.0], AnalyticCdf1d(mean, 1.0), 2.0)
 
 
 def test_normal_quantile_blocks_match_the_scipy_ndtri_table():

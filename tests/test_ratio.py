@@ -5,13 +5,14 @@ import pytest
 from scipy.special import ndtri
 
 from msw import (
+    AnalyticCdf1d,
     DomainError,
     Gaussian,
     OptimizerOpts,
     RngStream,
     ScaleError,
     SpecError,
-    gaussian_law,
+    project,
     ratio_fixed_direction,
     ratio_sup,
     ratio_tail_bound,
@@ -27,13 +28,26 @@ from msw.ratio import SWEEP_MAX_N, _projected_law, _RatioObjective
 FAST = OptimizerOpts(restarts=6, max_iters=50)
 
 
+def _active_piece(xs, theta, law):
+    """ratio._best_piece along one direction: the statistic, the threshold t
+    of the active piece and its side, "at" or "left"."""
+    t = project(xs, theta)
+    value, row, left = ratio._best_piece(law.cdf(t)[:, None], (np.arange(t.size + 1) / t.size)[:, None])
+    return float(value[0]), float(t[row[0]]), ("at", "left")[int(left[0])]
+
+
 def test_single_point_analytic_value():
     # one sample at 0 against N(0,1): sup is sqrt(1/2), in the left limit
-    res = ratio_fixed_direction([[0.0]], [1.0], gaussian_law(0.0, 1.0))
+    res = ratio_fixed_direction([[0.0]], [1.0], AnalyticCdf1d(0.0, 1.0))
     assert res.value == pytest.approx(math.sqrt(0.5), rel=1e-12)
-    assert res.side == "left"
-    assert res.branch == "truth_minus_empirical"
-    assert res.arg_t == 0.0
+    assert _active_piece([[0.0]], [1.0], AnalyticCdf1d(0.0, 1.0)) == (res.value, 0.0, "left")
+
+
+@pytest.mark.parametrize("mean,sd", [(0.0, 0.0), (0.0, -1.0), (0.0, math.nan), (0.0, math.inf),
+                                     (math.nan, 1.0), (-math.inf, 1.0)])
+def test_fixed_direction_rejects_a_degenerate_law(mean, sd):
+    with pytest.raises(DomainError, match="positive, finite sd"):
+        ratio_fixed_direction([[0.0], [1.0]], [1.0], AnalyticCdf1d(mean, sd))
 
 
 def _stacked_argmax_reference(xs, theta, law):
@@ -51,9 +65,7 @@ def _stacked_argmax_reference(xs, theta, law):
 
     cand = np.stack([ratios(f, fn_at), ratios(f, fn_left)])
     side, i = divmod(int(np.argmax(cand)), n)
-    fn_star = (fn_at, fn_left)[side][i]
-    branch = "truth_minus_empirical" if f[i] >= fn_star else "empirical_minus_truth"
-    return float(cand[side, i]), float(t[i]), ("at", "left")[side], branch
+    return float(cand[side, i]), float(t[i]), ("at", "left")[side]
 
 
 def _tie_cases():
@@ -64,15 +76,16 @@ def _tie_cases():
         theta = g.normal(size=d)
         theta /= np.linalg.norm(theta)
         xs = np.round(g.normal(size=(n, d)), 1)
-        yield xs, theta, gaussian_law(float(np.round(g.normal(), 1)), 1.0)
+        yield xs, theta, AnalyticCdf1d(float(np.round(g.normal(), 1)), 1.0)
 
 
 def test_fixed_direction_keeps_the_stacked_argmax_tie_rule():
     sides = set()
     for xs, theta, law in _tie_cases():
-        res = ratio_fixed_direction(xs, theta, law)
-        assert (res.value, res.arg_t, res.side, res.branch) == _stacked_argmax_reference(xs, theta, law)
-        sides.add(res.side)
+        piece = _active_piece(xs, theta, law)
+        assert piece == _stacked_argmax_reference(xs, theta, law)
+        assert ratio_fixed_direction(xs, theta, law).value == piece[0]
+        sides.add(piece[2])
     assert sides == {"at", "left"}
 
 
@@ -80,7 +93,7 @@ def test_quantile_grid_regression():
     # samples at exact standard normal quantiles: the statistic is O(1/sqrt(n))
     n = 1000
     xs = ndtri((np.arange(n) + 0.5) / n)[:, None]
-    res = ratio_fixed_direction(xs, [1.0], gaussian_law(0.0, 1.0))
+    res = ratio_fixed_direction(xs, [1.0], AnalyticCdf1d(0.0, 1.0))
     assert res.value <= 0.08
 
 
@@ -88,12 +101,13 @@ def test_recompute_at_argmax_matches():
     rng = np.random.default_rng(7)
     xs = rng.normal(size=(40, 2))
     theta = np.array([0.6, 0.8])
-    law = gaussian_law(0.0, 1.0)
+    law = AnalyticCdf1d(0.0, 1.0)
     res = ratio_fixed_direction(xs, theta, law)
-    # both one-sided limits at the reported threshold; the law has no atoms
+    arg_t = _active_piece(xs, theta, law)[1]
+    # both one-sided limits at the active piece's threshold; the law has no atoms
     proj = np.sort(xs @ theta)
-    f = float(law.cdf(np.array([res.arg_t]))[0])
-    fn = [np.searchsorted(proj, res.arg_t, side=side) / proj.size for side in ("right", "left")]
+    f = float(law.cdf(np.array([arg_t]))[0])
+    fn = [np.searchsorted(proj, arg_t, side=side) / proj.size for side in ("right", "left")]
     candidates = [abs(f - g) / math.sqrt(max(f, g)) for g in fn]
     assert max(candidates) == pytest.approx(res.value, abs=1e-10)
 
@@ -101,7 +115,7 @@ def test_recompute_at_argmax_matches():
 def test_statistic_is_nonnegative_and_zero_iff_matching():
     rng = np.random.default_rng(17)
     xs = rng.normal(size=(25, 1))
-    law = gaussian_law(0.0, 1.0)
+    law = AnalyticCdf1d(0.0, 1.0)
     assert ratio_fixed_direction(xs, [1.0], law).value > 0.0
 
 
@@ -110,7 +124,7 @@ def test_ratio_sup_d1_picks_better_sign():
     xs = np.array([[0.3], [1.2], [-0.4]])
     res = ratio_sup(xs, spec, FAST, RngStream(0))
     both = [
-        ratio_fixed_direction(xs, [s], gaussian_law(0.0, 1.0)).value for s in (1.0, -1.0)
+        ratio_fixed_direction(xs, [s], AnalyticCdf1d(0.0, 1.0)).value for s in (1.0, -1.0)
     ]
     assert res.value == pytest.approx(max(both), rel=1e-12)
 
@@ -120,7 +134,7 @@ def test_ratio_sup_dominates_fixed_directions():
     xs = sample(spec, 120, RngStream(3, 0))
     res = ratio_sup(xs, spec, FAST, RngStream(3, 2))
     for theta in ([1.0, 0.0], [0.0, 1.0], [2.0**-0.5, 2.0**-0.5]):
-        fixed = ratio_fixed_direction(xs, theta, gaussian_law(0.0, 1.0))
+        fixed = ratio_fixed_direction(xs, theta, AnalyticCdf1d(0.0, 1.0))
         assert res.value >= fixed.value - 1e-12
 
 
@@ -264,7 +278,7 @@ def test_the_sweep_counts_ties_at_angle_0_by_their_sign():
               [[-0.0, -1.0], [0.0, -2.0], [0.0, 0.5], [-0.0, -0.1], [0.3, 0.3]]):
         w = np.array(w)
         theta = ratio._sweep_direction(w)
-        value = ratio_fixed_direction(w, theta, gaussian_law(0.0, 1.0)).value
+        value = ratio_fixed_direction(w, theta, AnalyticCdf1d(0.0, 1.0)).value
         assert value == pytest.approx(_oracle(w, IDENTITY), rel=1e-12, abs=0.0)
 
 
@@ -352,7 +366,6 @@ def test_vc_bound_values():
     assert vc_bound(1, 1) == 4
     assert vc_bound(3, 2) == 64
     assert vc_bound(10, 2) == 1331
-    assert vc_bound(3, 2, two_sided=True) == 4**6
     # arbitrary-precision integers: no overflow at large arguments
     assert vc_bound(10**9, 8) == (10**9 + 1) ** 9
     with pytest.raises(DomainError):

@@ -8,7 +8,6 @@ from msw import (
     NumericError,
     check_assumptions,
     check_spectrum,
-    eigenfunction,
     eigenvalue,
     eigenvalue_bounds,
     eigenvalues,
@@ -79,10 +78,15 @@ def test_exponential_decay_certificate():
         assert eigenvalue(k, j) <= 0.5 * math.exp(-rate * j) * (1 + 1e-12)
 
 
+def _psi(spec, j, z):
+    """psi_j(z) read off the truncated embedding: coordinate j over sqrt(lambda_j)."""
+    return feature_coords(spec, z, j + 1)[j] / math.sqrt(eigenvalue(spec, j))
+
+
 def test_eigenfunction_closed_forms_at_zero():
-    assert eigenfunction(INT_SPEC, 0, 0.0) == pytest.approx(3.0**0.25, rel=1e-12)
-    assert eigenfunction(INT_SPEC, 1, 0.0) == pytest.approx(0.0, abs=1e-14)
-    assert eigenfunction(EXP_SPEC, 1, 0.0) == pytest.approx(0.0, abs=1e-14)
+    assert _psi(INT_SPEC, 0, 0.0) == pytest.approx(3.0**0.25, rel=1e-12)
+    assert _psi(INT_SPEC, 1, 0.0) == pytest.approx(0.0, abs=1e-14)
+    assert _psi(EXP_SPEC, 1, 0.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def _eigenfunction_direct(spec, j, z):
@@ -108,13 +112,13 @@ def test_stable_route_matches_direct_formula(spec):
     for j in range(11):
         for z in zs:
             want = _eigenfunction_direct(spec, j, float(z))
-            got = eigenfunction(spec, j, float(z))
+            got = _psi(spec, j, float(z))
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_eigenfunction_overflow_guard():
     with pytest.raises(NumericError):
-        eigenfunction(INT_SPEC, 0, 1e6)
+        feature_coords(INT_SPEC, 1e6, 1)
 
 
 def test_feature_coords_examples():
@@ -123,7 +127,7 @@ def test_feature_coords_examples():
     single = feature_coords(INT_SPEC, 0.7, 1)
     assert single.shape == (1,)
     assert single[0] == pytest.approx(
-        math.sqrt(eigenvalue(INT_SPEC, 0)) * eigenfunction(INT_SPEC, 0, 0.7), rel=1e-12
+        math.sqrt(eigenvalue(INT_SPEC, 0)) * _eigenfunction_direct(INT_SPEC, 0, 0.7), rel=1e-12
     )
     batch = feature_coords(INT_SPEC, np.array([0.0, 0.7]), 2)
     assert batch.shape == (2, 2)
