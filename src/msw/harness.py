@@ -354,10 +354,11 @@ def _run_items(worker, config: ExperimentConfig, threads: int):
     if threads == 1:
         results = [worker(config, *it) for it in items]
     else:
-        if config.experiment == "ratio_exceedance":
-            # the ratio statistic's normal cdf comes from scipy.special: loaded
+        if config.experiment == "ratio_exceedance" and any(
+                ratio.needs_search(config.spec, n) for n in config.n_grid):
+            # the ratio search's normal cdf comes from scipy.special: loaded
             # once here, the forked workers inherit it instead of each
-            # importing it on its first objective
+            # importing it on its first objective; the sweep needs none
             import scipy.special  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -4,6 +4,8 @@ Between two empirical measures the distance is exact at every order. The one
 law msw compares a sample with is N(mean, sd^2), a Gaussian spec projected
 along a direction; against it the distance is W_2, exact in closed form from
 cached block integrals of Phi^-1 that msw.maxsliced's analytic objective reads.
+The law's cdf is _phi, a numpy port of Cephes ndtr, so evaluating it loads no
+scipy submodule.
 """
 from __future__ import annotations
 
@@ -17,12 +19,61 @@ from .errors import DomainError, NumericError, check_order, check_vs_truth_order
 from .measures import as_samples
 
 
-def _ndtr(t) -> np.ndarray:
-    """The standard normal cdf Phi(t), elementwise, from scipy.special; the
-    one place in msw that loads it."""
-    from scipy.special import ndtr
+# Cephes ndtr's rational approximations: erf(x) = x T(x^2) / U(x^2) for
+# |x| < 1, erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8 and R / S above;
+# U, Q and S are monic, their leading 1 left out
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
 
-    return ndtr(t)
+
+def _horner(x: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
+    """The polynomial with coefficients coefs, highest first, at x, in place on
+    one new array; monic puts a leading 1 before coefs."""
+    acc = x + coefs[0] if monic else np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _phi(t) -> np.ndarray:
+    """The standard normal cdf Phi(t), elementwise: Cephes ndtr, as in
+    scipy.special.ndtr, up to numpy's exp (within 4 ulp of scipy on [-40, 40]).
+
+    With x = t / sqrt(2), Phi = (1 + erf(x)) / 2 for |x| < 1, and erfc(|x|) / 2
+    or 1 minus it above, 0 once exp(-x^2) underflows. |x| is clipped at 27,
+    past that underflow, so no step overflows on a huge or infinite t.
+    """
+    x = np.asarray(t, dtype=np.float64) * math.sqrt(0.5)
+    z = np.minimum(np.abs(x), 27.0)
+    w = z * z
+    y = _horner(w, _ERF_T)
+    y *= np.copysign(z, x)
+    y /= _horner(w, _ERF_U, monic=True)
+    y *= 0.5
+    y += 0.5
+    hi = np.flatnonzero(z >= 1.0)  # flat indices in C order, whatever x's layout
+    zh, wh = np.take(z, hi), np.take(w, hi)
+    p, q = _horner(zh, _ERFC_P), _horner(zh, _ERFC_Q, monic=True)
+    far = zh >= 8.0
+    if far.any():
+        p[far], q[far] = _horner(zh[far], _ERFC_R), _horner(zh[far], _ERFC_S, monic=True)
+    tail = 0.5 * np.where(wh > _MAXLOG, 0.0, np.exp(-wh) * p / q)
+    np.put(y, hi, np.where(np.take(x, hi) > 0.0, 1.0 - tail, tail))
+    return y
 
 
 def as_sorted_sample(values) -> np.ndarray:
@@ -60,7 +111,7 @@ class AnalyticCdf1d:
     sd: float
 
     def cdf(self, t) -> np.ndarray:
-        return _ndtr((np.asarray(t, dtype=np.float64) - self.mean) / self.sd)
+        return _phi((np.asarray(t, dtype=np.float64) - self.mean) / self.sd)
 
 
 def _projected_law(spec, theta: np.ndarray) -> AnalyticCdf1d:
@@ -82,7 +133,9 @@ def quantile_blocks(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     treat as read-only.
     """
     bx, by = np.arange(1, n + 1) * m, np.arange(1, m + 1) * n
-    ends = np.union1d(bx, by)
+    # np.union1d would load numpy.ma (np.unique asks np.ma.is_masked)
+    ends = np.sort(np.concatenate((bx, by)))
+    ends = ends[np.concatenate(([True], ends[1:] != ends[:-1]))]
     xi, yj = np.searchsorted(bx, ends), np.searchsorted(by, ends)
     u = np.where(ends % m == 0, (xi + 1) / n, (yj + 1) / m)
     return np.diff(u, prepend=0.0), xi, yj
@@ -142,13 +195,17 @@ def w1d_vs_cdf(xs, law: AnalyticCdf1d, p: float) -> float:
 
     This is the certificate of the analytic objective of msw.maxsliced, which
     evaluates the same form per direction. p must be 2: msw computes no other
-    order against a Gaussian law, and any other p is a DomainError. A distance
-    that overflows is a NumericError.
+    order against a Gaussian law, and any other p is a DomainError. sd = 0 is
+    the point mass at mean, which the analytic objective certifies along a
+    null direction of a singular covariance; a negative sd is a DomainError. A
+    law or a distance that is not finite is a NumericError.
     """
     check_vs_truth_order(p)
     x = as_sorted_sample(xs)
     if not (math.isfinite(law.mean) and math.isfinite(law.sd)):
         raise NumericError(f"quantiles of N({law.mean!r}, {law.sd!r}^2) are not finite")
+    if law.sd < 0.0:
+        raise DomainError(f"the law's sd must be >= 0, got {law.sd!r}")
     c, s = x - law.mean, law.sd
     value = math.sqrt(max(np.mean(c * c) - 2.0 * s * (_normal_quantile_blocks(x.size) @ c) + s * s, 0.0))
     if not math.isfinite(value):

@@ -3,7 +3,10 @@
 At d = 2, with at most SWEEP_MAX_N points and a positive definite covariance,
 ratio_sup computes the exact sup over directions by an angular sweep; the
 optimizer options and stream are not read there. Otherwise it maximizes with
-the max-sliced search, _run_search.
+the max-sliced search, _run_search (needs_search says which). The sweep, the
+d = 1 case and every certificate evaluate the normal cdf with ot1d._phi; only
+the search's batched objective takes scipy.special's ndtr, which is faster per
+element, so a run that never searches loads no scipy submodule.
 """
 from __future__ import annotations
 
@@ -15,11 +18,21 @@ import numpy as np
 from .errors import DomainError, ScaleError, SpecError
 from .maxsliced import OptimizerOpts, _argsort_columns, _run_search
 from .measures import Gaussian, RngStream, as_samples
-from .ot1d import AnalyticCdf1d, _ndtr, _projected_law, project
+from .ot1d import AnalyticCdf1d, _phi, _projected_law, project
 
 # ratio_sup's sweep runs up to this many points at d = 2; above it the search
 # is faster (the sweep costs O(n^2 log n), timings in BENCH_21.json)
 SWEEP_MAX_N = 300
+
+
+def needs_search(spec: Gaussian, n: int) -> bool:
+    """Whether ratio_sup searches on n points of spec: at d >= 3, and at d = 2
+    above SWEEP_MAX_N points or for a covariance without a Cholesky factor.
+    It also searches where the whitened sample overflows, which only the data
+    show."""
+    if spec.dim != 2 or n > SWEEP_MAX_N:
+        return spec.dim > 1
+    return _cholesky(spec) is None
 
 
 @dataclass(frozen=True)
@@ -82,10 +95,12 @@ class _RatioObjective:
 
     def _pieces(self, sx: np.ndarray, th: np.ndarray):
         """Sigma theta, s, z, Phi(z) and _best_piece per column of the sorted sx."""
+        from scipy.special import ndtr  # faster per element than ot1d._phi
+
         sig_th = th @ self.spec.cov
         sd = np.sqrt(np.maximum(np.einsum("rd,rd->r", sig_th, th), 1e-300))
         z = (sx - th @ self.spec.mean) / sd
-        f = _ndtr(z)
+        f = ndtr(z)
         return sig_th, sd, z, f, _best_piece(f, self.fn)
 
     def value(self, th: np.ndarray) -> np.ndarray:
@@ -106,13 +121,20 @@ class _RatioObjective:
         return float(self.value(theta[None])[0])
 
 
+def _cholesky(spec: Gaussian):
+    """L with L L^T the symmetrized covariance, None when it has none."""
+    try:
+        return np.linalg.cholesky(0.5 * (spec.cov + spec.cov.T))
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _whiten(x: np.ndarray, spec: Gaussian):
     """(w, chol) with w = L^-1 (x - mean) for the symmetrized covariance L L^T,
     so that <theta, x - mean> / |L^T theta| = <u, w> for u = L^T theta / |L^T theta|;
     None when the covariance is singular or a whitened coordinate overflows."""
-    try:
-        chol = np.linalg.cholesky(0.5 * (spec.cov + spec.cov.T))
-    except np.linalg.LinAlgError:
+    chol = _cholesky(spec)
+    if chol is None:
         return None
     w = np.linalg.solve(chol, (x - spec.mean).T).T
     return (w, chol) if np.all(np.isfinite(w)) else None
@@ -160,7 +182,7 @@ def _sweep_direction(w: np.ndarray) -> np.ndarray:
     # with its z, within 1e-138 times the largest |coordinate| of the origin
     dist = np.sqrt(np.maximum(dx * dx + dy * dy, np.finfo(np.float64).tiny))
     # Phi(z_i) where j leaves below i; f.T holds Phi(-z_i), where j enters
-    f = _ndtr((px[:, None] * py[None, :] - py[:, None] * px[None, :]) / dist / scale)
+    f = _phi((px[:, None] * py[None, :] - py[:, None] * px[None, :]) / dist / scale)
     # j below i just before a = 0, a tie at a = 0 (dx = +-0, dy > 0) included,
     # leaves in [0, pi), where i enters below j; any other j enters there
     below = (dx < 0.0) | ((dx == 0.0) & (dy > 0.0))
@@ -172,8 +194,8 @@ def _sweep_direction(w: np.ndarray) -> np.ndarray:
     up = stat >= 0.0  # +w_i / |w_i| lies in [0, pi]
     norm = np.sqrt(px * px + py * py) / scale
     ang[cols, cols] = np.where(up, stat, stat + math.pi)
-    fe[cols, cols] = _ndtr(np.where(up, norm, -norm))
-    fa[cols, cols] = _ndtr(np.where(up, -norm, norm))
+    fe[cols, cols] = _phi(np.where(up, norm, -norm))
+    fa[cols, cols] = _phi(np.where(up, -norm, norm))
     steps[cols, cols] = 0.0
     order = np.argsort(ang, axis=1)
     order += q * cols[:, None]  # flat indices, each row in angle order
@@ -191,31 +213,33 @@ def ratio_sup(xs, spec: Gaussian, opts: OptimizerOpts | None = None,
               rng: RngStream | None = None) -> RatioStatResult:
     """The ratio statistic's sup over directions, or a certified lower bound on it.
 
-    At d = 1 both signs are checked. At d = 2, with at most SWEEP_MAX_N points
-    and a positive definite covariance, the angular sweep of _sweep_direction
-    finds the maximizing direction, so the value is the sup itself (a tie
-    direction is as precise as the whitened difference that defines it), and
-    opts and rng are not read. Otherwise the max-sliced search (restarts, seed
-    directions, the Riemannian ascent's adaptive step and relative stall
-    rule) runs on the batched ratio objective. Either way the result is
-    recomputed at the returned direction by ratio_fixed_direction, so it is a
-    certified lower bound on the sup over (theta, t).
+    At d = 1 both signs are checked, +1 winning a tie. At d = 2, with at most
+    SWEEP_MAX_N points and a positive definite covariance, the angular sweep
+    of _sweep_direction finds the maximizing direction, so the value is the
+    sup itself (a tie direction is as precise as the whitened difference that
+    defines it), and opts and rng are not read. Otherwise the max-sliced
+    search (restarts, seed directions, the Riemannian ascent's adaptive step
+    and relative stall rule) runs on the batched ratio objective. Either way
+    the result is recomputed at the returned direction by
+    ratio_fixed_direction, so it is a certified lower bound on the sup over
+    (theta, t).
     """
     if not isinstance(spec, Gaussian):
         raise SpecError("ratio_sup requires a Gaussian spec (closed-form projections)")
     x = as_samples(xs)
     if x.shape[1] != spec.dim:
         raise DomainError(f"dimension mismatch: samples {x.shape[1]}, spec {spec.dim}")
-    objective = _RatioObjective(x, spec)
-    whitened = _whiten(x, spec) if x.shape[1] == 2 and x.shape[0] <= SWEEP_MAX_N else None
     if x.shape[1] == 1:
-        signs = np.array([[1.0], [-1.0]])
-        theta = signs[int(np.argmax(objective.value(signs)))]
-    elif whitened is not None:
+        fits = (ratio_fixed_direction(x, th, _projected_law(spec, th))
+                for th in np.array([[1.0], [-1.0]]))
+        return max(fits, key=lambda fit: fit.value)  # the first on a tie
+    whitened = None if needs_search(spec, x.shape[0]) else _whiten(x, spec)
+    if whitened is not None:
         w, chol = whitened
         theta = np.linalg.solve(chol.T, _sweep_direction(w))  # L^-T u
         theta /= math.sqrt(theta @ theta)
     else:
+        objective = _RatioObjective(x, spec)
         theta = _run_search(objective, x, x.mean(0) - spec.mean, None, opts, rng).argmax
     return ratio_fixed_direction(x, theta, _projected_law(spec, theta))
 

@@ -12,8 +12,9 @@ no scipy submodule, and each function that needs scipy imports it itself.
 The normal quantile is the standard library's (statistics.NormalDist,
 imported only where the vs-truth table of its block integrals is built), so
 the vs-truth objective and the two-sample and RKHS runs never load
-scipy.special, and `msw compute` loads neither; the normal cdf (the ratio
-statistic, AnalyticCdf1d.cdf) still comes from scipy.special.
+scipy.special, and `msw compute` loads neither. The normal cdf is msw's own
+(ot1d._phi) in AnalyticCdf1d.cdf, the d = 2 sweep and every ratio
+certificate, so only the ratio search's batched objective loads scipy.special.
 
 Every check runs in a fresh interpreter, since the test process has numpy and
 scipy loaded already (the other test modules import them at their top).
@@ -45,10 +46,11 @@ def run_fresh(code: str, cwd: Path) -> dict:
 
 LOADED = f"[m for m in {SUBMODULES!r} if m in sys.modules]"
 
-# every (module, function) of msw that imports scipy: the normal cdf, the exact
-# assignment, the version record and the ratio experiments' pre-fork load
+# every (module, function) of msw that imports scipy: the ratio search's normal
+# cdf, the exact assignment, the version record and the ratio experiments'
+# pre-fork load
 SCIPY_SITES = {
-    ("ot1d", "_ndtr"),
+    ("ratio", "_pieces"),
     ("maxsliced", "wasserstein_full"),
     ("harness", "_environment"),
     ("harness", "_run_items"),
@@ -194,8 +196,9 @@ def test_compute_loads_only_what_it_runs(tmp_path):
     np.savetxt(tmp_path / "x.csv", rng.standard_normal((30, 2)), delimiter=",")
     np.savetxt(tmp_path / "y.csv", rng.standard_normal((20, 2)) + 1.0, delimiter=",")
     (tmp_path / "ragged.csv").write_text("x1,x2\n0.1,0.2\n0.3\n")
+    # x and y differ in size, so the merged quantile grid runs too
     unwanted = ("msw.harness", "msw.ratio", "msw.bounds", "concurrent.futures.process",
-                "numpy.polynomial", "statistics")
+                "numpy.polynomial", "numpy.ma", "statistics")
     code = f"""
 import json, sys
 import msw.cli
@@ -244,10 +247,13 @@ rng = np.random.default_rng(4)
 spec = Gaussian(np.zeros(2), np.eye(2))
 xs = rng.standard_normal((20, 2))
 law = AnalyticCdf1d(0.5, math.sqrt(2.0))
+spec1, spec3 = Gaussian(np.zeros(1), np.eye(1)), Gaussian(np.zeros(3), np.eye(3))
 calls = {
     "vs_analytic_p2": lambda: msw_vs_analytic(xs, spec, 2.0, rng=RngStream(1, 0)).value,
     "cdf": lambda: float(law.cdf(np.array([0.3]))[0]),
     "ratio_sup": lambda: ratio_sup(xs, spec, rng=RngStream(1, 2)).value,
+    "ratio_sup_d1": lambda: ratio_sup(xs[:, :1], spec1).value,
+    "ratio_sup_d3": lambda: ratio_sup(rng.standard_normal((20, 3)), spec3, rng=RngStream(1, 2)).value,
     "wasserstein_full": lambda: wasserstein_full(xs[:8], rng.standard_normal((8, 2)), 2.0),
 }
 out = {"law": [True, "scipy.special" in sys.modules]}
@@ -259,17 +265,20 @@ print(json.dumps(out))
 
 
 def test_every_lazy_scipy_site_runs_in_a_fresh_interpreter(tmp_path):
-    # each entry: (returned a finite value, scipy.special loaded after the call)
-    order = ["vs_analytic_p2", "cdf", "wasserstein_full"]
+    # each entry: (returned a finite value, scipy.special loaded after the call);
+    # the normal cdf, the d = 2 sweep and d = 1 are msw's own, the search is scipy's
+    order = ["vs_analytic_p2", "cdf", "ratio_sup", "ratio_sup_d1", "wasserstein_full"]
     out = run_fresh(f"ORDER = {order!r}\n{SITES}", tmp_path)
     assert out == {
         "law": [True, False],
         "vs_analytic_p2": [True, False],
-        "cdf": [True, True],
+        "cdf": [True, False],
+        "ratio_sup": [True, False],
+        "ratio_sup_d1": [True, False],
         "wasserstein_full": [True, True],
     }
-    out = run_fresh(f"ORDER = ['ratio_sup']\n{SITES}", tmp_path)
-    assert out == {"law": [True, False], "ratio_sup": [True, True]}
+    out = run_fresh(f"ORDER = ['ratio_sup_d3']\n{SITES}", tmp_path)
+    assert out == {"law": [True, False], "ratio_sup_d3": [True, True]}
 
 
 POOL = """
@@ -294,8 +303,15 @@ configs = {
     "rkhs_rate": ExperimentConfig(
         "rkhs_rate", RkhsPushforward(KernelSpec(4.0, 1.0), 1.0, 6), n_grid=(20,), mc_runs=2,
         optimizer=opts, d_test_list=(3, 6)),
-    "ratio_exceedance": ExperimentConfig(
-        "ratio_exceedance", gauss, n_grid=(20,), mc_runs=2, optimizer=opts),
+    # every trial sweeps (d = 2, n <= SWEEP_MAX_N) or checks both signs (d = 1)
+    "ratio_sweep": ExperimentConfig(
+        "ratio_exceedance", gauss, n_grid=(20, 300), mc_runs=2, optimizer=opts),
+    "ratio_d1": ExperimentConfig(
+        "ratio_exceedance", Gaussian(np.zeros(1), np.eye(1)), n_grid=(20,), mc_runs=2,
+        optimizer=opts),
+    "ratio_search": ExperimentConfig(
+        "ratio_exceedance", Gaussian(np.zeros(3), np.eye(3)), n_grid=(20,), mc_runs=2,
+        optimizer=opts),
 }
 before = "scipy.special" in sys.modules
 values, _, workers = _run_items(probe, configs[EXPERIMENT], 2)
@@ -317,7 +333,14 @@ def test_vs_truth_and_rkhs_pools_leave_scipy_special_unloaded(tmp_path):
                        "at_start": [False, False], "after_trial": [False, False]}, experiment
 
 
+def test_ratio_pools_that_never_search_leave_scipy_special_unloaded(tmp_path):
+    for experiment, trials in (("ratio_sweep", 4), ("ratio_d1", 2)):
+        out = run_fresh(f"EXPERIMENT = {experiment!r}\n{POOL}", tmp_path)
+        assert out == {"before": False, "after": False, "workers": 2, "finite": True,
+                       "at_start": [False] * trials, "after_trial": [False] * trials}, experiment
+
+
 def test_ratio_pool_loads_scipy_special_before_the_fork(tmp_path):
-    out = run_fresh(f"EXPERIMENT = 'ratio_exceedance'\n{POOL}", tmp_path)
+    out = run_fresh(f"EXPERIMENT = 'ratio_search'\n{POOL}", tmp_path)
     assert out == {"before": False, "after": True, "workers": 2, "finite": True,
                    "at_start": [True, True], "after_trial": [True, True]}

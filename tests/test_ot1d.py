@@ -1,14 +1,15 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from msw import AnalyticCdf1d, DomainError, NumericError, project, w1d_empirical, w1d_vs_cdf
-from msw.ot1d import _normal_quantile_blocks, quantile_blocks
+from msw.ot1d import _normal_quantile_blocks, _phi, quantile_blocks
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0)
 small_samples = st.lists(finite_floats, min_size=1, max_size=9).map(sorted)
@@ -185,6 +186,40 @@ def test_vs_cdf_non_finite_quantiles_are_a_numeric_error():
     for mean in (math.inf, math.nan):
         with pytest.raises(NumericError):
             w1d_vs_cdf([0.0], AnalyticCdf1d(mean, 1.0), 2.0)
+
+
+def test_vs_cdf_takes_a_point_mass_and_rejects_a_negative_sd():
+    # sd = 0 is the point mass at 0, one unit from both points
+    assert w1d_vs_cdf([-1.0, 1.0], AnalyticCdf1d(0.0, 0.0), 2.0) == 1.0
+    with pytest.raises(DomainError, match="sd must be >= 0"):
+        w1d_vs_cdf([-1.0, 1.0], AnalyticCdf1d(0.0, -1.0), 2.0)
+
+
+def test_phi_is_scipys_ndtr_to_4_ulp():
+    # branch edges at |t| = 1 (erf's rational or 1 - it), sqrt(2) (erfc's
+    # rationals) and 8 sqrt(2) (the second one), with their neighbours; the
+    # lower tail down to and past the underflow of exp(-t^2 / 2) near -37.7
+    edges = np.array([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0)])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0 * edges)])
+    t = np.concatenate([np.linspace(-40.0, 40.0, 400_001), edges, -edges,
+                        np.linspace(-38.0, -37.0, 20_001), [-37.5193, 300.0, -300.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _phi(t)
+    want = ndtr(t)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    pos = want > 0.0
+    assert np.max(np.abs(got[pos] - want[pos]) / np.spacing(want[pos])) <= 4.0
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf, 1e300, -1e300, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _phi(special)
+    np.testing.assert_array_equal(got, [0.5, 0.5, 0.5, 0.5, 1.0, 0.0, 1.0, 0.0, np.nan])
+    # any memory layout, and a scalar
+    grid = t[:400_000].reshape(400, 1000)
+    for view in (grid.T, grid[::3, ::-2]):
+        assert np.array_equal(_phi(view), _phi(np.ascontiguousarray(view)))
+    assert float(_phi(0.3)) == float(_phi(np.array([0.3]))[0])
 
 
 def test_normal_quantile_blocks_match_the_scipy_ndtri_table():

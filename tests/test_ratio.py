@@ -129,6 +129,13 @@ def test_ratio_sup_d1_picks_better_sign():
     assert res.value == pytest.approx(max(both), rel=1e-12)
 
 
+def test_ratio_sup_d1_keeps_plus_one_on_a_tie():
+    # a symmetric sample: both signs project it to the same sorted values
+    res = ratio_sup(np.array([[-1.0], [1.0]]), Gaussian(np.zeros(1), np.eye(1)))
+    assert res.value == ratio_fixed_direction([[-1.0], [1.0]], [-1.0], AnalyticCdf1d(0.0, 1.0)).value
+    assert res.arg_theta.tolist() == [1.0]
+
+
 def test_ratio_sup_dominates_fixed_directions():
     spec = Gaussian(np.zeros(2), np.eye(2))
     xs = sample(spec, 120, RngStream(3, 0))
@@ -304,6 +311,24 @@ def test_the_sweep_runs_up_to_the_cap_and_the_search_beyond(monkeypatch):
     singular = Gaussian(np.zeros(2), np.ones((2, 2)))
     ratio_sup(sample(singular, 40, RngStream(5, 2)), singular, FAST, RngStream(1))
     assert calls[-1] == (40, 2)
+
+
+def test_needs_search_says_what_ratio_sup_runs(monkeypatch):
+    calls, search = [], ratio._run_search
+
+    def spy(objective, pooled, *rest):
+        calls.append(pooled.shape)
+        return search(objective, pooled, *rest)
+
+    monkeypatch.setattr(ratio, "_run_search", spy)
+    spec1, spec3 = Gaussian(np.zeros(1), np.eye(1)), Gaussian(np.zeros(3), np.eye(3))
+    singular = Gaussian(np.zeros(2), np.ones((2, 2)))
+    for spec, n in ((spec1, 400), (IDENTITY, SWEEP_MAX_N), (CORRELATED, 40), (IDENTITY, SWEEP_MAX_N + 1),
+                    (spec3, 40), (singular, 40)):
+        before = len(calls)
+        ratio_sup(sample(spec, n, RngStream(5, n)), spec, FAST, RngStream(1))
+        assert ratio.needs_search(spec, n) == (len(calls) > before), (spec.dim, n)
+    assert len(calls) == 3
 
 
 def test_ratio_sup_requires_gaussian():
