@@ -13,11 +13,16 @@ value recomputed from scratch at one direction. msw.ratio runs the ratio
 statistic through the same search at d >= 3, and at d = 2 above
 ratio.SWEEP_MAX_N points or for a singular covariance; otherwise an exact
 angular sweep (d = 2) or a check of both signs (d = 1) replaces it.
+
+msw_empirical (past d = 1), msw_vs_analytic and ratio_sup first divide the data
+by one power of two 2^e (_prescaled), so their results keep their bits when the
+data scale by a power of two, and no p-th power overflows. W_p is multiplied
+back by 2^e; a value that overflows there is a NumericError.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,10 +30,10 @@ import numpy as np
 # there (a test's monkeypatch, perfbench's tracer) is seen here even when this
 # module is first imported after the rebinding
 from . import ot1d
-from .errors import (DomainError, ScaleError, SpecError, UnsupportedDimensionError, check_order,
-                     check_vs_truth_order)
+from .errors import (DomainError, NumericError, ScaleError, SpecError, UnsupportedDimensionError,
+                     check_order, check_vs_truth_order)
 from .measures import Gaussian, RngStream, as_samples
-from .ot1d import AnalyticCdf1d, _normal_quantile_blocks, project, quantile_blocks
+from .ot1d import _normal_quantile_blocks, project, quantile_blocks
 
 # direction grids used only to seed the local search in low dimension
 _SEED_GRID = {2: 256, 3: 1024}
@@ -212,18 +217,12 @@ class _AnalyticObjective:
     """
 
     def __init__(self, x: np.ndarray, spec: Gaussian):
-        self.x, self.mean, self.cov = x, spec.mean, spec.cov
+        self.x, self.spec = x, spec
         self.g = _normal_quantile_blocks(x.shape[0])
-
-    def _scale(self, th: np.ndarray):
-        """<theta, mean>, Sigma theta and the projected sd s, per row of th."""
-        sig_th = th @ self.cov
-        s = np.sqrt(np.maximum(np.einsum("rd,rd->r", sig_th, th), 0.0))
-        return th @ self.mean, sig_th, s
 
     def _closed_form(self, sx: np.ndarray, th: np.ndarray):
         """The exact W_2^2 per column of the sorted projections sx."""
-        mth, sig_th, s = self._scale(th)
+        mth, sig_th, s = ot1d._projected_moments(th, self.spec.mean, self.spec.cov)
         c = sx - mth
         b = self.g @ c
         vals = np.maximum(np.mean(c * c, axis=0) - 2.0 * s * b + s * s, 0.0)
@@ -240,15 +239,13 @@ class _AnalyticObjective:
         ax.ravel()[fx] = per_point
         grads = (
             ax.T @ self.x
-            - per_point.sum(axis=0)[:, None] * self.mean[None, :]
-            + (2.0 * (s - b) / np.maximum(s, 1e-150))[:, None] * sig_th
+            - per_point.sum(axis=0)[:, None] * self.spec.mean[None, :]
+            + (2.0 * (s - b) / s)[:, None] * sig_th
         )
         return vals, grads
 
     def certify(self, theta: np.ndarray) -> float:
-        # m and s from _scale, not _projected_law, so the certificate reads the search's bits
-        mth, _, s = self._scale(theta[None, :])
-        return ot1d.w1d_vs_cdf(project(self.x, theta), AnalyticCdf1d(float(mth[0]), float(s[0])), 2.0)
+        return ot1d.w1d_vs_cdf(project(self.x, theta), ot1d._projected_law(self.spec, theta), 2.0)
 
 
 def _value_on_grid(objective, dirs: np.ndarray) -> np.ndarray:
@@ -268,13 +265,9 @@ def _collect_starts(objective, pooled: np.ndarray, mean_diff: np.ndarray,
     """Random restarts plus seed directions, as unit rows; non-finite and zero seeds are dropped."""
     d = pooled.shape[1]
     rows = [rng.child(r).generator().standard_normal(d) for r in range(opts.restarts)]
-    # data near the top of the double range overflow the scatter matrix, where
-    # eigh fails; those searches go without the principal axes
-    with np.errstate(over="ignore", invalid="ignore"):
+    if pooled.shape[0] > 1:
         centered = pooled - pooled.mean(axis=0)
-        scatter = centered.T @ centered
-    if pooled.shape[0] > 1 and np.isfinite(scatter).all():
-        _, vecs = np.linalg.eigh(scatter)
+        _, vecs = np.linalg.eigh(centered.T @ centered)
         rows.extend(vecs[:, -1 - k] for k in range(min(3, d)))
     if extra_axes is not None:
         rows.extend(extra_axes)
@@ -282,8 +275,7 @@ def _collect_starts(objective, pooled: np.ndarray, mean_diff: np.ndarray,
     if d in _SEED_GRID:
         dirs = grid_directions(d, _SEED_GRID[d])
         rows.append(dirs[int(np.argmax(_value_on_grid(objective, dirs)))])
-    # an overflowed mean difference or extra axis is a non-finite row, and
-    # argmax would prefer a NaN value
+    # argmax would prefer the NaN value of a non-finite extra axis
     rows = np.asarray(rows)
     return _unit_rows(rows[np.isfinite(rows).all(axis=1) & rows.any(axis=1)])
 
@@ -342,6 +334,26 @@ def _run_search(objective, pooled, mean_diff, extra_axes, opts, rng) -> MswResul
                      iterations=iters, converged=bool(converged[idx]))
 
 
+def _prescaled(xs, spec: Gaussian):
+    """(e, spec, x): the samples xs and the mean of a Gaussian spec divided by 2^e
+    and its covariance by 2^2e, e from ot1d._scale_exponent with sqrt(diag(Sigma))."""
+    if not isinstance(spec, Gaussian):
+        raise SpecError("a sup against a law needs a Gaussian spec (closed-form projections)")
+    x = as_samples(xs)
+    if x.shape[1] != spec.dim:
+        raise DomainError(f"dimension mismatch: samples {x.shape[1]}, spec {spec.dim}")
+    e = ot1d._scale_exponent(x, spec.mean, np.sqrt(np.abs(np.diag(spec.cov))))
+    return e, Gaussian(np.ldexp(spec.mean, -e), np.ldexp(spec.cov, -2 * e)), np.ldexp(x, -e)
+
+
+def _scaled_back(res: MswResult, e: int, what: str) -> MswResult:
+    """res with its value times 2^e; a value that overflows is a NumericError."""
+    try:
+        return replace(res, value=math.ldexp(res.value, e))
+    except OverflowError:
+        raise NumericError(f"{what} is not finite (overflow)") from None
+
+
 def _sample_pair(xs, ys, p: float):
     """Both samples as (n, d) arrays, once the order and the dimensions check out."""
     check_order(p)
@@ -356,10 +368,10 @@ def msw_empirical(xs, ys, p: float, opts: OptimizerOpts | None = None,
     """Max-sliced W_p between two empirical measures (certified lower bound).
 
     Sample sizes may differ; dimensions must agree. For d = 1 the sphere is
-    {-1, +1} and the result is exact. extra_axes, if given, holds further
-    start directions as the rows of a (k, d) array; they join the random
-    restarts and the seed directions (the harness passes the winner of the
-    truncation level below, padded with zeros).
+    {-1, +1} and the result is exact, from the data as given; past d = 1 they
+    are prescaled. extra_axes, if given, holds further start directions as the
+    rows of a (k, d) array; they join the random restarts and the seed
+    directions (the harness passes the winner of the level below, padded).
     """
     x, y = _sample_pair(xs, ys, p)
     d = x.shape[1]
@@ -370,8 +382,11 @@ def msw_empirical(xs, ys, p: float, opts: OptimizerOpts | None = None,
         extra_axes = np.asarray(extra_axes, dtype=np.float64)
         if extra_axes.ndim != 2 or extra_axes.shape[1] != d:
             raise DomainError(f"extra_axes must have shape (k, {d}), got {extra_axes.shape}")
+    e = ot1d._scale_exponent(x, y)
+    x, y = np.ldexp(x, -e), np.ldexp(y, -e)
     objective = _TwoSampleObjective(x, y, p)
-    return _run_search(objective, np.vstack([x, y]), x.mean(0) - y.mean(0), extra_axes, opts, rng)
+    res = _run_search(objective, np.vstack([x, y]), x.mean(0) - y.mean(0), extra_axes, opts, rng)
+    return _scaled_back(res, e, f"the order-{p!r} distance between the samples")
 
 
 def msw_vs_analytic(xs, spec: Gaussian, p: float, opts: OptimizerOpts | None = None,
@@ -380,23 +395,21 @@ def msw_vs_analytic(xs, spec: Gaussian, p: float, opts: OptimizerOpts | None = N
 
     Only Gaussian specs are supported: the projected law along theta is then
     N(<mean, theta>, theta^T Sigma theta), and W_2 along a direction is exact
-    in closed form, in the search and in the certificate. p must be 2; any
-    other order is a DomainError.
+    in closed form, in the search and in the certificate, both on prescaled
+    data (module docstring). p must be 2; any other order is a DomainError.
     """
-    if not isinstance(spec, Gaussian):
-        raise SpecError("analytic max-sliced distance requires a Gaussian spec")
+    e, spec, x = _prescaled(xs, spec)
     check_vs_truth_order(p)
-    x = as_samples(xs)
-    if x.shape[1] != spec.dim:
-        raise DomainError(f"dimension mismatch: samples {x.shape[1]}, spec {spec.dim}")
     d = x.shape[1]
     objective = _AnalyticObjective(x, spec)
     if d == 1:
         theta = np.array([1.0])
-        return MswResult(objective.certify(theta), theta, restarts_used=0, iterations=0)
-    _, cov_axes = np.linalg.eigh(spec.cov)
-    extra = cov_axes[:, : -min(3, d) - 1 : -1].T
-    return _run_search(objective, x, x.mean(0) - spec.mean, extra, opts, rng)
+        res = MswResult(objective.certify(theta), theta, restarts_used=0, iterations=0)
+    else:
+        _, cov_axes = np.linalg.eigh(spec.cov)
+        extra = cov_axes[:, : -min(3, d) - 1 : -1].T
+        res = _run_search(objective, x, x.mean(0) - spec.mean, extra, opts, rng)
+    return _scaled_back(res, e, "the W_2 distance to the Gaussian law")
 
 
 def msw_grid_oracle(xs, ys, p: float, resolution: int) -> MswResult:

@@ -10,7 +10,7 @@ from . import rkhs
 from .errors import DomainError, NumericError, SpecError
 
 # PSD tolerance: Cholesky must succeed on the symmetrized covariance after at
-# most this much diagonal jitter
+# most this much diagonal jitter, in units of its largest diagonal entry
 _JITTER_STEPS = (0.0, 1e-12, 1e-11, 1e-10)
 
 
@@ -126,20 +126,23 @@ DistributionSpec = Gaussian | ParetoProduct | RkhsPushforward
 def _cholesky_psd(cov: np.ndarray) -> np.ndarray:
     """Cholesky factor of the symmetrized covariance, with escalating jitter.
 
-    Nearly singular covariances (e.g. equicorrelated matrices at desk scale)
-    are accepted by adding up to 1e-10 to the diagonal; anything needing more
-    is treated as not PSD.
+    Nearly singular covariances (e.g. equicorrelated matrices) are accepted by
+    adding up to 1e-10 times the largest variance to the diagonal, whatever the
+    units; anything needing more is not PSD. The zero covariance has factor 0.
     """
     # an entry whose symmetrized sum overflows leaves a non-finite factor, so
     # sample reports the non-finite draw that follows (NumericError)
     with np.errstate(over="ignore"):
         sym = 0.5 * (cov + cov.T)
+    if not sym.any():
+        return sym
+    top = np.max(np.diag(sym))
     for jitter in _JITTER_STEPS:
-        try:
-            return np.linalg.cholesky(sym + jitter * np.eye(sym.shape[0]))
+        try:  # no jitter at first, which an infinite top would turn into 0 * inf
+            return np.linalg.cholesky(sym + jitter * top * np.eye(sym.shape[0]) if jitter else sym)
         except np.linalg.LinAlgError:
             continue
-    raise SpecError("covariance is not positive semi-definite within tolerance 1e-10")
+    raise SpecError("covariance is not positive semi-definite within relative tolerance 1e-10")
 
 
 def sample(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:

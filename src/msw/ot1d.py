@@ -5,7 +5,8 @@ law msw compares a sample with is N(mean, sd^2), a Gaussian spec projected
 along a direction; against it the distance is W_2, exact in closed form from
 cached block integrals of Phi^-1 that msw.maxsliced's analytic objective reads.
 The law's cdf is _phi, a numpy port of Cephes ndtr, so evaluating it loads no
-scipy submodule.
+scipy submodule. The sups divide their data by the power of two of
+_scale_exponent first (msw.maxsliced), and _projected_moments floors s^2.
 """
 from __future__ import annotations
 
@@ -114,12 +115,24 @@ class AnalyticCdf1d:
         return _phi((np.asarray(t, dtype=np.float64) - self.mean) / self.sd)
 
 
+def _scale_exponent(*arrays) -> int:
+    """e with the largest |entry| of arrays over 2^e in [1/4, 1/2); dividing by
+    2^e (np.ldexp) is exact while the results stay normal doubles."""
+    return math.frexp(max(float(np.max(np.abs(a))) for a in arrays))[1] + 1
+
+
+def _projected_moments(th: np.ndarray, mean: np.ndarray, cov: np.ndarray):
+    """<theta, mean>, Sigma theta and s = sqrt(theta^T Sigma theta) per row theta of
+    th. s^2 is floored at 1e-300, far below the variances of prescaled data, so a
+    null direction of the covariance gives a near point mass, not 0 / 0."""
+    sig_th = th @ cov
+    return th @ mean, sig_th, np.sqrt(np.maximum(np.einsum("rd,rd->r", sig_th, th), 1e-300))
+
+
 def _projected_law(spec, theta: np.ndarray) -> AnalyticCdf1d:
-    """The law of <theta, X> for X ~ N(spec.mean, spec.cov). The variance is
-    floored at 1e-300, so a direction in the covariance's null space gives a
-    near point mass, not an error."""
-    var = float(theta @ spec.cov @ theta)
-    return AnalyticCdf1d(float(theta @ spec.mean), math.sqrt(max(var, 1e-300)))
+    """The law of <theta, X> for X ~ N(spec.mean, spec.cov), from _projected_moments."""
+    m, _, s = _projected_moments(np.atleast_2d(theta), spec.mean, spec.cov)
+    return AnalyticCdf1d(float(m[0]), float(s[0]))
 
 
 @lru_cache(maxsize=512)
@@ -196,9 +209,8 @@ def w1d_vs_cdf(xs, law: AnalyticCdf1d, p: float) -> float:
     This is the certificate of the analytic objective of msw.maxsliced, which
     evaluates the same form per direction. p must be 2: msw computes no other
     order against a Gaussian law, and any other p is a DomainError. sd = 0 is
-    the point mass at mean, which the analytic objective certifies along a
-    null direction of a singular covariance; a negative sd is a DomainError. A
-    law or a distance that is not finite is a NumericError.
+    the point mass at mean; a negative sd is a DomainError. A law or a
+    distance that is not finite is a NumericError.
     """
     check_vs_truth_order(p)
     x = as_sorted_sample(xs)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ScaleError, SpecError
-from .maxsliced import OptimizerOpts, _argsort_columns, _run_search
+from .errors import DomainError, ScaleError
+from .maxsliced import OptimizerOpts, _argsort_columns, _prescaled, _run_search
 from .measures import Gaussian, RngStream, as_samples
-from .ot1d import AnalyticCdf1d, _phi, _projected_law, project
+from .ot1d import AnalyticCdf1d, _phi, _projected_law, _projected_moments, _scale_exponent, project
 
 # ratio_sup's sweep runs up to this many points at d = 2; above it the search
 # is faster (the sweep costs O(n^2 log n), timings in BENCH_21.json)
@@ -97,9 +97,8 @@ class _RatioObjective:
         """Sigma theta, s, z, Phi(z) and _best_piece per column of the sorted sx."""
         from scipy.special import ndtr  # faster per element than ot1d._phi
 
-        sig_th = th @ self.spec.cov
-        sd = np.sqrt(np.maximum(np.einsum("rd,rd->r", sig_th, th), 1e-300))
-        z = (sx - th @ self.spec.mean) / sd
+        mth, sig_th, sd = _projected_moments(th, self.spec.mean, self.spec.cov)
+        z = (sx - mth) / sd
         f = ndtr(z)
         return sig_th, sd, z, f, _best_piece(f, self.fn)
 
@@ -172,17 +171,16 @@ def _sweep_direction(w: np.ndarray) -> np.ndarray:
     """
     pts, mult = np.unique(w[:, 0] + 1j * w[:, 1], return_counts=True)
     n, q, cols = w.shape[0], pts.size, np.arange(pts.size)
-    # a power of two, so exact: the largest |coordinate| goes to [1/2, 1), and
+    # a power of two, so exact: the largest |coordinate| goes to [1/4, 1/2), and
     # no cross product or squared distance overflows
-    top = max(np.max(np.abs(pts.real)), np.max(np.abs(pts.imag)))
-    scale = 2.0 ** min(-np.frexp(top)[1], 1022)
-    px, py = pts.real * scale, pts.imag * scale
+    e = _scale_exponent(pts.real, pts.imag)
+    px, py = np.ldexp(pts.real, -e), np.ldexp(pts.imag, -e)
     dx, dy = px[None, :] - px[:, None], py[None, :] - py[:, None]  # d at [i, j]
     # floored, so the diagonal's z is 0, not 0 / 0; a pair below the floor lies,
     # with its z, within 1e-138 times the largest |coordinate| of the origin
     dist = np.sqrt(np.maximum(dx * dx + dy * dy, np.finfo(np.float64).tiny))
     # Phi(z_i) where j leaves below i; f.T holds Phi(-z_i), where j enters
-    f = _phi((px[:, None] * py[None, :] - py[:, None] * px[None, :]) / dist / scale)
+    f = _phi(np.ldexp((px[:, None] * py[None, :] - py[:, None] * px[None, :]) / dist, e))
     # j below i just before a = 0, a tie at a = 0 (dx = +-0, dy > 0) included,
     # leaves in [0, pi), where i enters below j; any other j enters there
     below = (dx < 0.0) | ((dx == 0.0) & (dy > 0.0))
@@ -192,7 +190,7 @@ def _sweep_direction(w: np.ndarray) -> np.ndarray:
     fe, fa = np.where(below, f, f.T), np.where(below, f.T, f)  # Phi(z), Phi(-z)
     stat = np.arctan2(py, px)
     up = stat >= 0.0  # +w_i / |w_i| lies in [0, pi]
-    norm = np.sqrt(px * px + py * py) / scale
+    norm = np.ldexp(np.sqrt(px * px + py * py), e)
     ang[cols, cols] = np.where(up, stat, stat + math.pi)
     fe[cols, cols] = _phi(np.where(up, norm, -norm))
     fa[cols, cols] = _phi(np.where(up, -norm, norm))
@@ -222,13 +220,10 @@ def ratio_sup(xs, spec: Gaussian, opts: OptimizerOpts | None = None,
     and relative stall rule) runs on the batched ratio objective. Either way
     the result is recomputed at the returned direction by
     ratio_fixed_direction, so it is a certified lower bound on the sup over
-    (theta, t).
+    (theta, t). All of it runs on the sample and the law divided by one power
+    of two (msw.maxsliced._prescaled), which leaves the statistic as it is.
     """
-    if not isinstance(spec, Gaussian):
-        raise SpecError("ratio_sup requires a Gaussian spec (closed-form projections)")
-    x = as_samples(xs)
-    if x.shape[1] != spec.dim:
-        raise DomainError(f"dimension mismatch: samples {x.shape[1]}, spec {spec.dim}")
+    _, spec, x = _prescaled(xs, spec)
     if x.shape[1] == 1:
         fits = (ratio_fixed_direction(x, th, _projected_law(spec, th))
                 for th in np.array([[1.0], [-1.0]]))

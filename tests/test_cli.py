@@ -11,6 +11,7 @@ import pytest
 from msw.cli import CONFIG_KINDS, config_from_mapping, load_sample_file, main, parse_config_file
 from msw.errors import ConfigError
 from msw.harness import _meta, config_to_dict, load_rate_curve
+from msw.maxsliced import msw_empirical
 from msw.measures import Gaussian, ParetoProduct, RkhsPushforward
 
 
@@ -314,26 +315,57 @@ def test_a_config_file_with_a_byte_order_mark_runs(tmp_path):
     assert load_rate_curve(out, "csv").n.tolist() == [8, 16, 32]
 
 
+def _compute(tmp_path, xs, ys, *args):
+    """The exit code of msw compute on two sample arrays, and its payload (None
+    when it writes none)."""
+    x_path, y_path, out = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "compute.json"
+    out.unlink(missing_ok=True)
+    write_samples(x_path, np.asarray(xs))
+    write_samples(y_path, np.asarray(ys))
+    code = main(["compute", str(x_path), str(y_path), "--out", str(out), *args])
+    return code, json.loads(out.read_text()) if out.exists() else None
+
+
+def _compute_scaled_back(tmp_path, xs, ys, *args):
+    """msw compute on xs, ys and on both divided by 2^e, where 2^e puts their
+    largest |entry| in [1/4, 1/2): both exit 0 without a warning, the first
+    value is 2^e times the second and the argmax is the same. Returns the
+    first payload."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    e = math.frexp(max(np.abs(xs).max(), np.abs(ys).max()))[1] + 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = _compute(tmp_path, xs, ys, *args)
+        scaled_code, scaled = _compute(tmp_path, np.ldexp(xs, -e), np.ldexp(ys, -e), *args)
+    assert code == scaled_code == 0
+    assert math.isfinite(payload["value"]) and payload["value"] == math.ldexp(scaled["value"], e)
+    assert payload["argmax"] == scaled["argmax"]
+    return payload
+
+
 def test_projection_overflow_exits_3(tmp_path, capsys):
-    big, small = tmp_path / "big.csv", tmp_path / "small.csv"
-    write_samples(big, np.array([[1e308, 1e308], [-1e308, 1e308], [1.5e308, -1.2e308]]))
-    write_samples(small, np.random.default_rng(6).normal(size=(3, 2)))
-    out = tmp_path / "compute.json"
-    with np.errstate(all="ignore"):
-        assert main(["compute", str(big), str(small), "--out", str(out)]) == 3
+    # the projections of these rows on (1, 1) / sqrt(2) overflow, and so does the
+    # distance to their mirror image (about 3.5e308): the search runs on the rows
+    # divided by 2^1025, but its value times 2^1025 is not a double
+    big = np.array([[1e308, 1e308], [1.2e308, 1.5e308], [1.5e308, 1.2e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _compute(tmp_path, big, -big) == (3, None)
     assert "numeric error" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("xs,ys", [
     # d = 1 takes the exact sorted matching and never projects
     ([[1e308], [0.0], [0.0]], [[-1e308], [0.0], [0.0]]),
-    # the projections are finite, |x - y|^2 is not
-    ([[1e200, 0.0], [1e200, 1.0], [1e200, 2.0]], [[-1e200, 0.0], [-1e200, 1.0], [-1e200, 2.0]]),
-    # entries near 1e153: the scatter matrix of the principal-axis seeds overflows too
-    (2.0**510 * np.random.default_rng(0).standard_normal((200, 3)),
-     2.0**510 * (np.random.default_rng(1).standard_normal((200, 3)) + 0.3)),
-], ids=["d1", "d2", "d3_scatter"])
+    # a d = 1 pair 3e308 apart
+    ([[1.5e308], [1.5e308]], [[-1.5e308], [-1.5e308]]),
+    # the search on the rows divided by 2^1025 is finite, the distance, 3e308, is not
+    ([[1.5e308, 0.0], [1.5e308, 1.0], [1.5e308, 2.0]], [[-1.5e308, 0.0], [-1.5e308, 1.0], [-1.5e308, 2.0]]),
+    # entries near +-1e308: their pooled scatter matrix overflows unscaled, and
+    # the distance, above 2e308, overflows
+    (1e308 + 1e307 * np.random.default_rng(0).standard_normal((200, 3)),
+     -1e308 + 1e307 * np.random.default_rng(1).standard_normal((200, 3))),
+], ids=["d1", "d1_3e308", "d2", "d3_scatter"])
 def test_a_non_finite_distance_exits_3(tmp_path, capsys, xs, ys):
     x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
     write_samples(x_path, np.array(xs))
@@ -343,6 +375,34 @@ def test_a_non_finite_distance_exits_3(tmp_path, capsys, xs, ys):
         assert main(["compute", str(x_path), str(y_path), "--out", str(out)]) == 3
     assert "distance between the samples is not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("xs,ys", [
+    # the projections are finite, |x - y|^2 is not: the search squares the rows
+    # divided by 2^666
+    ([[1e200, 0.0], [1e200, 1.0], [1e200, 2.0]], [[-1e200, 0.0], [-1e200, 1.0], [-1e200, 2.0]]),
+    # projections that overflow against a sample near 0, which the search
+    # divides by 2^1025 into subnormals, the same ones as in the scaled files
+    ([[1e308, 1e308], [-1e308, 1e308], [1.5e308, -1.2e308]], np.random.default_rng(6).normal(size=(3, 2))),
+    # entries near 1e153, whose scatter matrix and W_2^2 overflow unscaled
+    (2.0**510 * np.random.default_rng(0).standard_normal((200, 3)),
+     2.0**510 * (np.random.default_rng(1).standard_normal((200, 3)) + 0.3)),
+], ids=["d2_1e200", "d2_1e308", "d3_2e510"])
+def test_a_finite_distance_is_2_to_the_e_times_the_scaled_one(tmp_path, xs, ys):
+    _compute_scaled_back(tmp_path, xs, ys)
+
+
+def test_a_ratio_table_does_not_depend_on_the_covariance_units(tmp_path):
+    # diag(2^-1000, 2^-1000) draws exactly 2^-500 times the unit draws, and the
+    # statistic does not change when the sample and the law scale together
+    tables = []
+    for cov in ("identity", "diag(9.332636185032189e-302, 9.332636185032189e-302)"):
+        cfg, out = tmp_path / "ratio.cfg", tmp_path / f"table{len(tables)}.csv"
+        cfg.write_text("experiment = ratio_exceedance\nd = 2\nn_grid = 50, 200\nmc_runs = 10\n"
+                       f"master_seed = 7\ncovariance = {cov}\n")
+        assert main(["ratio", "--config", str(cfg), "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert len(tables[0].splitlines()) == 49 and tables[1] == tables[0]
 
 
 @pytest.mark.parametrize("law", [
@@ -371,10 +431,16 @@ def test_a_non_finite_statistic_exits_3(tmp_path, capsys, monkeypatch):
         "n_grid = 20, 40\nmc_runs = 3\nrestarts = 2\nmax_iters = 10\n"
     )
     out = tmp_path / "curve.csv"
-    with np.errstate(all="ignore"):
-        assert main(["rate", "--config", str(cfg), "--out", str(out)]) == 3
-    assert "the order-1e+308 distance between the samples is not finite" in capsys.readouterr().err
-    assert not out.exists() and not out.with_suffix(".meta.json").exists()
+    # the search runs on data divided by a power of two, where every projected
+    # |x_(i) - y_(i)| is at most 1, so the order-1e308 distance is its finite
+    # limit, the largest such difference along the returned direction
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["rate", "--config", str(cfg), "--out", str(tmp_path / "w_inf.csv")]) == 0
+    assert np.all(np.isfinite(load_rate_curve(tmp_path / "w_inf.csv", "csv").mean))
+    x, y = np.random.default_rng(4).standard_normal((2, 20, 2))
+    res = msw_empirical(x, y, 1e308)
+    assert res.value == np.max(np.abs(np.sort(x @ res.argmax) - np.sort(y @ res.argmax)))
     # a search that hands back a non-finite value is caught when the curve is built
     from msw import maxsliced
 
@@ -527,22 +593,15 @@ def test_rkhs_spectrum_json_and_stdout(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("p", ["1", "2"])
-def test_a_nan_seed_direction_does_not_win(tmp_path, capsys, p):
-    # the PCA seeds of these rows come from an overflowed scatter matrix and are NaN
-    x_path, y_path, out = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "compute.json"
-    write_samples(x_path, np.array([[1e200, 1e200], [-1e200, 5e199], [3e199, -1e200]]))
-    write_samples(y_path, np.array([[-1e200, -1e200], [1e200, -4e199], [2e199, 9e199]]))
-    with np.errstate(all="ignore"):
-        code = main(["compute", str(x_path), str(y_path), "--p", p, "--out", str(out)])
-    if p == "1":
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert 8.5e199 < payload["value"] < 8.7e199
-        assert np.all(np.isfinite(payload["argmax"])) and payload["restarts_used"] < 10
-    else:
-        assert code == 3
-        assert "the order-2.0 distance between the samples is not finite" in capsys.readouterr().err
-        assert not out.exists()
+def test_a_nan_seed_direction_does_not_win(tmp_path, p):
+    # unscaled, the scatter matrix of these rows overflows and its principal axes
+    # are NaN; the search runs on the rows divided by 2^666, where every seed is
+    # finite and kept: 6 restarts, 2 principal axes, the mean difference and the
+    # best grid direction
+    x = np.array([[1e200, 1e200], [-1e200, 5e199], [3e199, -1e200]])
+    y = np.array([[-1e200, -1e200], [1e200, -4e199], [2e199, 9e199]])
+    payload = _compute_scaled_back(tmp_path, x, y, "--p", p)
+    assert payload["restarts_used"] == 10
 
 
 def test_an_infinite_order_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -309,9 +310,9 @@ def _reference_two_sample_value_and_grad(obj, th):
 
 def _reference_analytic_value_and_grad(obj, th):
     """The analytic objective as computed with a per-column argsort."""
-    mth = th @ obj.mean
-    sig_th = th @ obj.cov
-    s = np.sqrt(np.maximum(np.einsum("rd,rd->r", sig_th, th), 0.0))
+    mth = th @ obj.spec.mean
+    sig_th = th @ obj.spec.cov
+    s = np.sqrt(np.maximum(np.einsum("rd,rd->r", sig_th, th), 1e-300))
     px = obj.x @ th.T
     ox = np.argsort(px, axis=0)
     sx = np.take_along_axis(px, ox, 0)
@@ -324,8 +325,8 @@ def _reference_analytic_value_and_grad(obj, th):
     np.put_along_axis(ax, ox, per_point, axis=0)
     grads = (
         ax.T @ obj.x
-        - per_point.sum(axis=0)[:, None] * obj.mean[None, :]
-        + (2.0 * (s - b) / np.maximum(s, 1e-150))[:, None] * sig_th
+        - per_point.sum(axis=0)[:, None] * obj.spec.mean[None, :]
+        + (2.0 * (s - b) / s)[:, None] * sig_th
     )
     return vals, grads
 
@@ -861,33 +862,69 @@ def test_the_stall_threshold_keeps_the_values_the_experiments_resolve(monkeypatc
     assert sum(r.iterations for _, r in default) < sum(r.iterations for _, r in tight)
 
 
+# a pair and a law on which the sups' scale handling is checked
+_SCALE_X = np.random.default_rng(0).standard_normal((200, 3))
+_SCALE_Y = np.random.default_rng(1).standard_normal((200, 3)) + 0.3
+_SCALE_MEAN = np.array([0.1, -0.2, 0.3])
+_SCALE_COV = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
+
+
 def test_data_whose_scatter_overflows_search_without_the_principal_axes():
-    x = np.random.default_rng(0).standard_normal((200, 3))
-    y = np.random.default_rng(1).standard_normal((200, 3)) + 0.3
-    cov = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
-    pooled = np.vstack([x, y])
-    objective = _TwoSampleObjective(x, y, 2.0)
-    unscaled = _collect_starts(objective, pooled, x.mean(0) - y.mean(0), None, OptimizerOpts(),
-                               RngStream(0))
-    # at 2^500 the scatter matrix is finite and the starts keep their three axes
-    c = 2.0**500
-    starts = _collect_starts(_TwoSampleObjective(c * x, c * y, 2.0), c * pooled,
-                             c * (x.mean(0) - y.mean(0)), None, OptimizerOpts(), RngStream(0))
-    assert starts.shape == unscaled.shape
-    # at 2^510 it overflows, and eigh would fail on it
+    # unscaled, the pooled scatter matrix of this pair overflows at 2^510; the
+    # sups divide the data by a power of two first, so every start stays, the
+    # principal axes included, and the values are c times the unscaled ones
+    x, y, law = _SCALE_X, _SCALE_Y, Gaussian(np.zeros(3), _SCALE_COV)
     c = 2.0**510
-    with np.errstate(all="ignore"):
-        starts = _collect_starts(_TwoSampleObjective(c * x, c * y, 2.0), c * pooled,
-                                 c * (x.mean(0) - y.mean(0)), None, OptimizerOpts(), RngStream(0))
-        assert starts.shape[0] == unscaled.shape[0] - 3
-        assert np.array_equal(starts[:6], unscaled[:6])
-        # the distances themselves overflow: a NumericError, not a LinAlgError
-        with pytest.raises(NumericError, match="not finite"):
-            msw_empirical(c * x, c * y, 2.0)
-        with pytest.raises(NumericError, match="not finite"):
-            msw_vs_analytic(c * x, Gaussian(np.zeros(3), c * c * cov), 2.0)
-        value = ratio_sup(c * x, Gaussian(np.zeros(3), c * c * cov)).value
-    assert math.isfinite(value) and 0.0 < value
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = c * np.vstack([x, y])
+        centered -= centered.mean(axis=0)
+        assert not np.isfinite(centered.T @ centered).all()
+    big_law = Gaussian(np.zeros(3), c * c * _SCALE_COV)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = ((msw_empirical(x, y, 2.0), msw_empirical(c * x, c * y, 2.0)),
+                 (msw_vs_analytic(x, law, 2.0), msw_vs_analytic(c * x, big_law, 2.0)))
+        ratio = ratio_sup(c * x, big_law).value
+    for base, big in pairs:
+        assert big.restarts_used == base.restarts_used
+        assert big.value == c * base.value and np.array_equal(big.argmax, base.argmax)
+    assert ratio == ratio_sup(x, law).value
+
+
+@functools.lru_cache(maxsize=None)
+def _sups_at_scale(e: int):
+    """(name, value, argmax) of each sup on the pair and the law scaled by c = 2^e,
+    the covariance by c^2: W_p as value / c, the ratio statistic as it is."""
+    c = 2.0**e
+    x, y = c * _SCALE_X, c * _SCALE_Y
+    law = Gaussian(c * _SCALE_MEAN, c * c * _SCALE_COV)
+    law2 = Gaussian(c * _SCALE_MEAN[:2], c * c * _SCALE_COV[:2, :2])
+    for a in (x, y, law.mean, law.cov):
+        nonzero = np.abs(a[a != 0.0])
+        assert np.all(nonzero >= np.finfo(np.float64).tiny) and np.all(nonzero < np.inf), e
+    out = []
+    for p in (1.0, 1.5, 2.0, 3.0):
+        res = msw_empirical(x, y, p, FAST, RngStream(1))
+        out.append((f"empirical p={p}", res.value / c, res.argmax))
+    res = msw_vs_analytic(x, law, 2.0, FAST, RngStream(2))
+    out.append(("vs_analytic", res.value / c, res.argmax))
+    for name, res in (("ratio d=3", ratio_sup(y, law, FAST, RngStream(3))),
+                      ("ratio d=2", ratio_sup(y[:, :2], law2))):
+        out.append((name, res.value, res.arg_theta))
+    return out
+
+
+@pytest.mark.parametrize("e", [-500, -300, -60, -1, 1, 60, 300, 505, 510])
+def test_the_sups_keep_their_bits_when_the_data_scale_by_a_power_of_two(e):
+    # W_p(c mu, c nu) = c W_p(mu, nu), and the ratio statistic does not change
+    # when the sample and the law scale together; over the whole range where
+    # every scaled input is a normal double, both hold bit for bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = _sups_at_scale(e)
+    for (name, value, argmax), (_, want, want_argmax) in zip(scaled, _sups_at_scale(0)):
+        assert value == want, (name, value, want)
+        assert np.array_equal(argmax, want_argmax), name
 
 
 def test_search_stops_on_the_stall_rule():

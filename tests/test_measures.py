@@ -95,6 +95,29 @@ def test_nearly_singular_covariance_is_accepted():
     assert np.all(np.isfinite(draws))
 
 
+def test_the_jitter_is_relative_to_the_largest_variance():
+    # c^2 11^T needs jitter; its draws' sd follows c at every scale
+    for c in (1.0, 1e-6, 1e-10):
+        draws = sample(Gaussian(np.zeros(2), c * c * np.ones((2, 2))), 4000, RngStream(3))
+        assert np.std(draws[:, 0]) / c == pytest.approx(1.0, rel=0.05), c
+    # eigenvalues 1 and -5e-11 (rotated, largest variance 0.75) pass at every
+    # scale; 1 and -1e-6 fail at every scale
+    rot = np.array([[math.cos(math.pi / 6), -math.sin(math.pi / 6)],
+                    [math.sin(math.pi / 6), math.cos(math.pi / 6)]])
+    for scale in (1.0, 1e-12, 1e12):
+        Gaussian(np.zeros(2), scale * rot @ np.diag([1.0, -5e-11]) @ rot.T)
+        with pytest.raises(SpecError, match="relative tolerance 1e-10"):
+            Gaussian(np.zeros(2), scale * rot @ np.diag([1.0, -1e-6]) @ rot.T)
+    # a unit diagonal keeps the factor of the absolute jitter, so its draws keep their bits
+    ones = np.ones((2, 2))
+    draws = sample(Gaussian(np.zeros(2), ones), 5, RngStream(4))
+    z = RngStream(4).generator().standard_normal((5, 2))
+    assert np.array_equal(draws, np.zeros(2) + z @ np.linalg.cholesky(ones + 1e-12 * np.eye(2)).T)
+    # the zero covariance is the point mass: every draw is the mean
+    mean = np.array([0.25, -3.0])
+    assert np.array_equal(sample(Gaussian(mean, np.zeros((2, 2))), 5, RngStream(5)), np.tile(mean, (5, 1)))
+
+
 def test_a_draw_that_overflows_is_a_numeric_error():
     huge = Gaussian(np.zeros(2), np.diag([1e308, 1e308]))
     with pytest.raises(NumericError, match="a draw of 4 points from the Gaussian spec overflowed"):
